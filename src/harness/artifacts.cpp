@@ -1,23 +1,16 @@
 #include "harness/artifacts.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
-#include "util/csv.hpp"
+#include "util/artifact_writer.hpp"
 
 namespace wsched::harness {
 
 std::string format_number(double value) {
-  if (std::isfinite(value) && value == std::llround(value) &&
-      std::abs(value) < 1e15) {
-    return std::to_string(std::llround(value));
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.10g", value);
-  return buffer;
+  std::string out;
+  append_number(out, value);
+  return out;
 }
 
 ResultRow& ResultRow::set_field(std::string name, std::string text,
@@ -105,64 +98,53 @@ void check_schema(const std::vector<ResultRow>& rows) {
 void write_csv(std::ostream& out, const std::vector<ResultRow>& rows) {
   check_schema(rows);
   if (rows.empty()) return;
-  std::vector<std::string> header;
-  header.reserve(rows.front().fields().size());
-  for (const Field& field : rows.front().fields()) header.push_back(field.name);
-  write_csv_row(out, header);
-  std::vector<std::string> cells(header.size());
+  ArtifactWriter writer(out);
+  const auto& head = rows.front().fields();
+  for (std::size_t i = 0; i < head.size(); ++i) {
+    if (i) writer.raw(',');
+    writer.csv_field(head[i].name);
+  }
+  writer.raw('\n');
   for (const ResultRow& row : rows) {
-    for (std::size_t i = 0; i < row.fields().size(); ++i)
-      cells[i] = row.fields()[i].text;
-    write_csv_row(out, cells);
+    const auto& fields = row.fields();
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (i) writer.raw(',');
+      writer.csv_field(fields[i].text);
+    }
+    writer.raw('\n');
   }
 }
 
 std::string json_escape(const std::string& text) {
   std::string out;
-  out.reserve(text.size());
-  for (char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-          out += buffer;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
+  append_json_escaped(out, text);
   return out;
 }
 
 void write_json(std::ostream& out, const std::vector<ResultRow>& rows) {
   check_schema(rows);
-  out << "[";
+  ArtifactWriter writer(out);
+  writer.raw('[');
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    out << (r == 0 ? "\n" : ",\n") << "{";
+    writer.raw(r == 0 ? "\n{" : ",\n{");
     const auto& fields = rows[r].fields();
     for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (i) out << ",";
-      out << '"' << json_escape(fields[i].name) << "\":";
+      if (i) writer.raw(',');
+      writer.raw('"').json_escaped(fields[i].name).raw("\":");
       const std::string& text = fields[i].text;
       if (!fields[i].numeric) {
-        out << '"' << json_escape(text) << '"';
+        writer.raw('"').json_escaped(text).raw('"');
       } else if (text == "inf" || text == "-inf" || text == "nan" ||
                  text == "-nan") {
         // Non-finite values are not valid JSON numbers.
-        out << "null";
+        writer.raw("null");
       } else {
-        out << text;
+        writer.raw(text);
       }
     }
-    out << "}";
+    writer.raw('}');
   }
-  out << "\n]\n";
+  writer.raw("\n]\n");
 }
 
 std::string csv_string(const std::vector<ResultRow>& rows) {

@@ -56,7 +56,8 @@ class ResultRow {
 };
 
 /// Canonical number formatting used by every artifact: integral values
-/// print with no fraction, everything else as shortest %.10g.
+/// print with no fraction, everything else as %.10g. A string-returning
+/// wrapper over wsched::append_number (util/artifact_writer.hpp).
 std::string format_number(double value);
 
 /// Writes rows as CSV: header from the first row's field names, then one
@@ -71,7 +72,8 @@ void write_json(std::ostream& out, const std::vector<ResultRow>& rows);
 std::string csv_string(const std::vector<ResultRow>& rows);
 std::string json_string(const std::vector<ResultRow>& rows);
 
-/// JSON string escaping (quotes, backslash, control characters).
+/// JSON string escaping (quotes, backslash, control characters); wraps
+/// wsched::append_json_escaped.
 std::string json_escape(const std::string& text);
 
 }  // namespace wsched::harness

@@ -1,10 +1,10 @@
 #include "harness/bench_cli.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 #include "obs/log.hpp"
+#include "util/artifact_writer.hpp"
 
 namespace wsched::harness {
 
@@ -237,12 +237,12 @@ std::optional<SweepRun> run_bench(const SweepSpec& spec, const BenchCli& cli,
 
   const std::string stem = artifact_stem(spec, cli);
   if (!stem.empty()) {
-    std::ofstream csv(stem + ".csv");
-    if (!csv) throw std::runtime_error("cannot open " + stem + ".csv");
-    write_csv(csv, run.rows);
-    std::ofstream json(stem + ".json");
-    if (!json) throw std::runtime_error("cannot open " + stem + ".json");
-    write_json(json, run.rows);
+    write_artifact_file(stem + ".csv", "sweep CSV", [&](std::ostream& out) {
+      write_csv(out, run.rows);
+    });
+    write_artifact_file(stem + ".json", "sweep JSON", [&](std::ostream& out) {
+      write_json(out, run.rows);
+    });
     std::printf("wrote %s.csv and %s.json (%zu rows)\n", stem.c_str(),
                 stem.c_str(), run.rows.size());
   }

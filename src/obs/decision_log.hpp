@@ -53,8 +53,8 @@ struct DecisionRecord {
   bool hedged = false;
   /// Span into the log's shared candidate pool (count == 0 when the
   /// decision had no scored candidate set). Scores are kept as raw
-  /// (node, cost) pairs on the hot path; the "node:score|..." string is
-  /// only formatted at serialization time (DecisionLog::candidates_of).
+  /// (node, cost) pairs on the hot path; the "node:score|..." cell is
+  /// only formatted at serialization time (DecisionLog::write_csv).
   std::uint32_t cand_begin = 0;
   std::uint32_t cand_count = 0;
 };
@@ -100,7 +100,7 @@ class DecisionLog {
   void enable_gray_columns() { gray_ = true; }
   bool gray_columns() const { return gray_; }
 
-  /// Canonical CSV (via the harness artifact writers): one row per record
+  /// Canonical CSV (via the buffered artifact writer): one row per record
   /// with columns seq, t_s, class, receiver, chosen, remote, w, reason,
   /// stale_s, w_hat, theta_eff, [slow_penalty, hedged,] candidates.
   void write_csv(std::ostream& out) const;

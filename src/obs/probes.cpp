@@ -1,10 +1,9 @@
 #include "obs/probes.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 
-#include "harness/artifacts.hpp"
+#include "util/artifact_writer.hpp"
 
 namespace wsched::obs {
 
@@ -76,24 +75,25 @@ void ProbeRecorder::sample(Time now, const std::vector<NodeProbe>& nodes,
   ++rounds_;
 }
 
-void ProbeRecorder::write_csv(std::ostream& out) const {
-  std::vector<harness::ResultRow> rows;
-  rows.reserve(samples_.size());
+void ProbeRecorder::write_csv(std::ostream& stream) const {
+  if (samples_.empty()) return;
+  ArtifactWriter out(stream);
+  out.raw("t_s,node,metric,value\n");
   for (const ProbeSample& sample : samples_) {
-    harness::ResultRow row;
-    row.set("t_s", to_seconds(sample.at))
-        .set("node", sample.node)
-        .set("metric", sample.metric)
-        .set("value", sample.value);
-    rows.push_back(std::move(row));
+    out.number(to_seconds(sample.at))
+        .raw(',')
+        .integer(sample.node)
+        .raw(',')
+        .csv_field(sample.metric)
+        .raw(',')
+        .number(sample.value)
+        .raw('\n');
   }
-  harness::write_csv(out, rows);
 }
 
 void ProbeRecorder::write_csv_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open probe file " + path);
-  write_csv(out);
+  write_artifact_file(path, "probe file",
+                      [this](std::ostream& out) { write_csv(out); });
 }
 
 }  // namespace wsched::obs

@@ -1,11 +1,9 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <ostream>
 #include <sstream>
-#include <stdexcept>
+
+#include "util/artifact_writer.hpp"
 
 namespace wsched::obs {
 
@@ -231,21 +229,9 @@ struct Candidate {
   double stretch = 0.0;
 };
 
-void append_number(std::string& out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", value);
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(value));
-  out += buf;
-}
-
 }  // namespace
 
-void SpanRecorder::write_exemplars(std::ostream& out, int k) const {
+void SpanRecorder::write_exemplars(std::ostream& stream, int k) const {
   const int want = std::max(k, 0);
   // Rank terminated requests per class by stretch = sojourn / demand
   // (the unloaded demand recorded at arrival, refreshed at completion;
@@ -270,41 +256,39 @@ void SpanRecorder::write_exemplars(std::ostream& out, int k) const {
       candidates.resize(static_cast<std::size_t>(want));
   }
 
-  std::string text;
-  text += "{\n  \"k\": ";
-  append_i64(text, want);
-  text += ",\n  \"exemplars\": [";
+  ArtifactWriter out(stream);
+  out.raw("{\n  \"k\": ").integer(want).raw(",\n  \"exemplars\": [");
   bool first_exemplar = true;
   for (const auto& candidates : by_class) {
     for (const Candidate& candidate : candidates) {
       const Req& r = reqs_[candidate.job];
-      if (!first_exemplar) text += ",";
+      if (!first_exemplar) out.raw(',');
       first_exemplar = false;
-      text += "\n    {\"job\": ";
-      append_i64(text, static_cast<std::int64_t>(candidate.job));
-      text += ", \"class\": \"";
-      text += r.dynamic ? "dynamic" : "static";
-      text += "\", \"outcome\": \"";
-      text += to_string(r.outcome);
-      text += "\", \"attempts\": ";
-      append_i64(text, r.attempts);
-      text += ",\n     \"arrival_ns\": ";
-      append_i64(text, r.arrival);
-      text += ", \"end_ns\": ";
-      append_i64(text, r.end);
-      text += ", \"demand_ns\": ";
-      append_i64(text, r.demand);
-      text += ", \"stretch\": ";
-      append_number(text, candidate.stretch);
-      text += ",\n     \"phases_ns\": {";
+      out.raw("\n    {\"job\": ")
+          .integer(static_cast<std::int64_t>(candidate.job))
+          .raw(", \"class\": \"")
+          .raw(r.dynamic ? "dynamic" : "static")
+          .raw("\", \"outcome\": \"")
+          .raw(to_string(r.outcome))
+          .raw("\", \"attempts\": ")
+          .integer(r.attempts)
+          .raw(",\n     \"arrival_ns\": ")
+          .integer(r.arrival)
+          .raw(", \"end_ns\": ")
+          .integer(r.end)
+          .raw(", \"demand_ns\": ")
+          .integer(r.demand)
+          .raw(", \"stretch\": ")
+          .general(candidate.stretch)
+          .raw(",\n     \"phases_ns\": {");
       for (std::size_t i = 0; i < kSpanPhaseCount; ++i) {
-        if (i != 0) text += ", ";
-        text += "\"";
-        text += to_string(static_cast<SpanPhase>(i));
-        text += "\": ";
-        append_i64(text, r.phase_ns[i]);
+        if (i != 0) out.raw(", ");
+        out.raw('"')
+            .raw(to_string(static_cast<SpanPhase>(i)))
+            .raw("\": ")
+            .integer(r.phase_ns[i]);
       }
-      text += "},\n     \"spans\": [";
+      out.raw("},\n     \"spans\": [");
       // Renumber this request's chain into local 0-based ids so each
       // exemplar is self-contained. Creation order means a parent always
       // precedes its children, so parent ids are already assigned.
@@ -312,37 +296,34 @@ void SpanRecorder::write_exemplars(std::ostream& out, int k) const {
       for (std::uint32_t idx = r.head; idx != kNoSpan;
            idx = pool_[idx].next, ++local) {
         const SpanNode& node = pool_[idx];
-        if (local != 0) text += ",";
-        text += "\n      {\"id\": ";
-        append_i64(text, local);
-        text += ", \"parent\": ";
+        if (local != 0) out.raw(',');
+        out.raw("\n      {\"id\": ").integer(local).raw(", \"parent\": ");
         if (node.parent == kNoSpan) {
-          text += "-1";
+          out.raw("-1");
         } else {
           // Walk back through the chain to find the parent's local id.
           std::uint32_t parent_local = 0;
           for (std::uint32_t scan = r.head; scan != node.parent;
                scan = pool_[scan].next)
             ++parent_local;
-          append_i64(text, parent_local);
+          out.integer(parent_local);
         }
-        text += ", \"name\": \"";
-        text += node.name != nullptr ? node.name : "";
-        text += "\", \"pid\": ";
-        append_i64(text, node.pid);
-        text += ", \"start_ns\": ";
-        append_i64(text, node.start);
-        text += ", \"end_ns\": ";
-        append_i64(text, node.end);
-        text += ", \"value\": ";
-        append_i64(text, node.value);
-        text += "}";
+        out.raw(", \"name\": \"")
+            .raw(node.name != nullptr ? node.name : "")
+            .raw("\", \"pid\": ")
+            .integer(node.pid)
+            .raw(", \"start_ns\": ")
+            .integer(node.start)
+            .raw(", \"end_ns\": ")
+            .integer(node.end)
+            .raw(", \"value\": ")
+            .integer(node.value)
+            .raw('}');
       }
-      text += "\n     ]}";
+      out.raw("\n     ]}");
     }
   }
-  text += "\n  ]\n}\n";
-  out << text;
+  out.raw("\n  ]\n}\n");
 }
 
 std::string SpanRecorder::exemplars_str(int k) const {
@@ -353,10 +334,8 @@ std::string SpanRecorder::exemplars_str(int k) const {
 
 void SpanRecorder::write_exemplars_file(const std::string& path,
                                         int k) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open span output: " + path);
-  write_exemplars(out, k);
-  if (!out) throw std::runtime_error("failed writing span output: " + path);
+  write_artifact_file(path, "span output",
+                      [&](std::ostream& out) { write_exemplars(out, k); });
 }
 
 }  // namespace wsched::obs

@@ -1,12 +1,11 @@
 #include "obs/trace.hpp"
 
-#include <fstream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
+#include <string_view>
 #include <utility>
 
-#include "harness/artifacts.hpp"
+#include "util/artifact_writer.hpp"
 
 namespace wsched::obs {
 
@@ -148,61 +147,68 @@ namespace {
 
 /// Simulator Time (integral ns) as Chrome microseconds. Chrome ts values
 /// are conventionally doubles; three decimals keep full ns fidelity.
-void write_us(std::ostream& out, Time t) {
-  out << t / 1000 << '.';
+void write_us(ArtifactWriter& out, Time t) {
   const Time frac = t % 1000;
-  out << static_cast<char>('0' + frac / 100)
-      << static_cast<char>('0' + (frac / 10) % 10)
-      << static_cast<char>('0' + frac % 10);
+  const char digits[4] = {'.', static_cast<char>('0' + frac / 100),
+                          static_cast<char>('0' + (frac / 10) % 10),
+                          static_cast<char>('0' + frac % 10)};
+  out.integer(t / 1000).raw(std::string_view(digits, sizeof digits));
 }
 
 }  // namespace
 
-void ChromeTraceSink::write(std::ostream& out) const {
-  out << "{\"traceEvents\":[\n";
+void ChromeTraceSink::write(std::ostream& stream) const {
+  ArtifactWriter out(stream);
+  out.raw("{\"traceEvents\":[\n");
   bool first = true;
   for (const Event& event : events_) {
-    if (!first) out << ",\n";
+    if (!first) out.raw(",\n");
     first = false;
     // Sinks accept arbitrary const char* names; a nullptr (skipped by the
     // recent-names ring too) serializes as an empty name, not UB.
-    out << "{\"name\":\""
-        << harness::json_escape(event.name != nullptr ? event.name : "")
-        << "\",\"cat\":\"" << to_string(event.category) << "\",\"ph\":\""
-        << event.phase << "\",\"pid\":" << event.pid
-        << ",\"tid\":" << event.tid << ",\"ts\":";
+    out.raw("{\"name\":\"")
+        .json_escaped(event.name != nullptr ? event.name : "")
+        .raw("\",\"cat\":\"")
+        .raw(to_string(event.category))
+        .raw("\",\"ph\":\"")
+        .raw(event.phase)
+        .raw("\",\"pid\":")
+        .integer(event.pid)
+        .raw(",\"tid\":")
+        .integer(event.tid)
+        .raw(",\"ts\":");
     write_us(out, event.ts);
     if (event.phase == 'X') {
-      out << ",\"dur\":";
+      out.raw(",\"dur\":");
       write_us(out, event.dur);
     }
     if (event.phase == 'b' || event.phase == 'e' || event.phase == 's' ||
         event.phase == 't' || event.phase == 'f')
-      out << ",\"id\":\"0x" << std::hex << event.id << std::dec << '"';
+      out.raw(",\"id\":\"0x").hex(event.id).raw('"');
     // A finish flow binds to its enclosing slice so the arrow lands on
     // the event that terminated the request.
-    if (event.phase == 'f') out << ",\"bp\":\"e\"";
-    if (event.phase == 'i') out << ",\"s\":\"t\"";
+    if (event.phase == 'f') out.raw(",\"bp\":\"e\"");
+    if (event.phase == 'i') out.raw(",\"s\":\"t\"");
     if (event.arg_count > 0) {
-      out << ",\"args\":{";
+      out.raw(",\"args\":{");
       for (std::uint32_t i = 0; i < event.arg_count; ++i) {
-        if (i > 0) out << ',';
+        if (i > 0) out.raw(',');
         const Arg& arg = args_[event.arg_begin + i];
-        out << '"' << harness::json_escape(arg.key) << "\":";
+        out.raw('"').json_escaped(arg.key).raw("\":");
         if (arg.text_len == 0) {
-          out << harness::format_number(arg.num);
+          out.number(arg.num);
         } else {
-          out << '"'
-              << harness::json_escape(
-                     chars_.substr(arg.text_off, arg.text_len))
-              << '"';
+          out.raw('"')
+              .json_escaped(std::string_view(chars_).substr(arg.text_off,
+                                                            arg.text_len))
+              .raw('"');
         }
       }
-      out << '}';
+      out.raw('}');
     }
-    out << '}';
+    out.raw('}');
   }
-  out << "\n]}\n";
+  out.raw("\n]}\n");
 }
 
 std::string ChromeTraceSink::str() const {
@@ -212,9 +218,8 @@ std::string ChromeTraceSink::str() const {
 }
 
 void ChromeTraceSink::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open trace file " + path);
-  write(out);
+  write_artifact_file(path, "trace file",
+                      [this](std::ostream& out) { write(out); });
 }
 
 }  // namespace wsched::obs

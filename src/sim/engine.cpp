@@ -119,9 +119,14 @@ void Engine::insert(Event e) {
     // arithmetic (cur_bucket_ + 1 + delta) would resolve this event's slot
     // to the wrong window — a bucket index off by a multiple of kBuckets —
     // breaking the `b == cur_bucket_` sorted-insert check and with it the
-    // (t, seq) dispatch order. Pin the cursor to the event's own bucket.
-    cur_bucket_ = b;
+    // (t, seq) dispatch order. Pin the cursor to now_'s bucket, not the
+    // event's: once now_ has advanced (a direct overflow serve, or a
+    // run_until() horizon), overflow events may lie inside the window
+    // ahead of `b`. Pulling them into the ring first keeps the cursor from
+    // skipping past them.
+    cur_bucket_ = bucket_of(now_);
     run_pos_ = 0;
+    drain_overflow_into_window();
   } else if (b < cur_bucket_) {
     // Only reachable when run_until() parked the cursor on a future bucket
     // and the caller then scheduled something earlier (still >= now_).
@@ -226,8 +231,10 @@ Engine::Event Engine::take_next() {
     std::pop_heap(overflow_.begin(), overflow_.end(), kLater);
     const Event e = overflow_.back();
     overflow_.pop_back();
-    // Re-anchor the cursor at the event's bucket; the following
-    // prepare_next() drains any now-in-window overflow around it.
+    // Re-anchor the cursor at the event's bucket. Overflow events now
+    // inside the window stay in the heap until the handler's first ring
+    // insert() or the following prepare_next() drains them, before the
+    // cursor can move past them.
     cur_bucket_ = bucket_of(e.t);
     cur_sorted_ = false;
     run_pos_ = 0;

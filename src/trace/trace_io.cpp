@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/artifact_writer.hpp"
 #include "util/csv.hpp"
 
 namespace wsched::trace {
@@ -28,9 +29,8 @@ void save_trace(std::ostream& out, const Trace& trace) {
 }
 
 void save_trace_file(const std::string& path, const Trace& trace) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  save_trace(out, trace);
+  write_artifact_file(path, "workload trace",
+                      [&](std::ostream& out) { save_trace(out, trace); });
 }
 
 Trace load_trace(std::istream& in) {

@@ -4,17 +4,14 @@
 // newlines; that is all the repo needs.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace wsched {
 
-/// Writes one CSV row (with quoting as needed) followed by '\n'.
-void write_csv_row(std::ostream& out, const std::vector<std::string>& fields);
-
-/// Escapes a single field per RFC 4180 (quotes only when necessary).
+/// Escapes a single field per RFC 4180 (quotes only when necessary); a
+/// string-returning wrapper over append_csv_field (util/artifact_writer.hpp).
 std::string csv_escape(std::string_view field);
 
 /// Parses one CSV line into fields (handles quoted fields with embedded

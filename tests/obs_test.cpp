@@ -961,5 +961,33 @@ TEST(ObsLog, ParseLevels) {
   EXPECT_EQ(obs::parse_log_level("bogus"), obs::LogLevel::kOff);
 }
 
+TEST(ObsArtifacts, WriteFailuresThrowNamingThePath) {
+  // Only the open used to be checked: a full disk left a truncated (often
+  // empty) artifact behind without an error. /dev/full opens fine and
+  // fails every write with ENOSPC.
+  const std::string full = "/dev/full";
+  if (!std::ifstream(full)) GTEST_SKIP() << "no " << full << " here";
+  obs::ChromeTraceSink sink;
+  sink.instant(obs::Category::kLog, "tick", 0, 0, 1);
+  obs::DecisionLog decisions;
+  decisions.record(obs::DecisionRecord{});
+  obs::ProbeRecorder probes(kSecond);
+  probes.sample(kSecond, {obs::NodeProbe{}}, obs::ClusterProbe{});
+  obs::SpanRecorder spans;
+  const auto expect_loud = [&](const char* what, auto&& write) {
+    try {
+      write();
+      ADD_FAILURE() << what << ": no error writing " << full;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(full), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  expect_loud("trace", [&] { sink.write_file(full); });
+  expect_loud("decisions", [&] { decisions.write_csv_file(full); });
+  expect_loud("probes", [&] { probes.write_csv_file(full); });
+  expect_loud("spans", [&] { spans.write_exemplars_file(full, 3); });
+}
+
 }  // namespace
 }  // namespace wsched

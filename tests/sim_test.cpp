@@ -3,6 +3,7 @@
 // the Node state machine (single-job latency, timesharing, conservation).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/cpu_sched.hpp"
@@ -13,6 +14,7 @@
 #include "sim/params.hpp"
 #include "sim/process.hpp"
 #include "trace/record.hpp"
+#include "util/rng.hpp"
 
 namespace wsched::sim {
 namespace {
@@ -573,6 +575,67 @@ TEST(Engine, RunUntilWithOnlyOverflowPendingKeepsCursorFresh) {
   engine.run();
   EXPECT_EQ(seen, (std::vector<Time>{2'000'000'000, 2'000'000'500,
                                      2'000'001'000, 3'000'000'000}));
+}
+
+/// One self-rescheduling closure chain: mostly sub-2 ms gaps, one in 64
+/// far enough ahead (1.5 s) to land in the overflow heap.
+struct OverflowChain {
+  Engine* engine;
+  std::uint64_t state;
+  std::uint64_t* remaining;
+  Time* last;
+  std::uint64_t* regressions;
+};
+
+void overflow_chain_step(OverflowChain* chain) {
+  if (chain->engine->now() < *chain->last) ++*chain->regressions;
+  *chain->last = chain->engine->now();
+  if (*chain->remaining == 0) return;
+  --*chain->remaining;
+  const std::uint64_t draw = splitmix64(chain->state);
+  const Time gap = draw % 64 == 0
+                       ? 1500 * kMillisecond
+                       : static_cast<Time>((draw >> 8) % (2 * kMillisecond));
+  chain->engine->schedule_at(chain->engine->now() + gap,
+                             [chain] { overflow_chain_step(chain); });
+}
+
+TEST(Engine, EmptyRingWithSeveralOverflowEventsStaysOrdered) {
+  // With no periodic event to keep the calendar busy, the ring regularly
+  // runs empty while the overflow heap holds several events inside one
+  // window. Serving the heap top must not let the handler's next insert
+  // move the cursor past the other overflow events: that used to dispatch
+  // them a window late (time going backwards) and run a recycled closure
+  // slot twice (std::bad_function_call).
+  Engine engine;
+  constexpr int kChains = 64;
+  std::uint64_t remaining = 200000;
+  Time last = 0;
+  std::uint64_t regressions = 0;
+  std::vector<OverflowChain> chains(kChains);
+  for (int c = 0; c < kChains; ++c) {
+    chains[static_cast<std::size_t>(c)] = {
+        &engine, 1 ^ (0x1234567ULL * static_cast<std::uint64_t>(c + 1)),
+        &remaining, &last, &regressions};
+  }
+  for (OverflowChain& chain : chains) overflow_chain_step(&chain);
+  EXPECT_NO_THROW(engine.run());
+  EXPECT_EQ(regressions, 0u);
+  EXPECT_EQ(remaining, 0u);
+  EXPECT_EQ(engine.events_processed(), 200000u);
+}
+
+TEST(Engine, RunUntilShortOfOverflowThenLaterInsertStaysOrdered) {
+  // run_until() stops before an overflow event; the horizon brings that
+  // event inside the calendar window. A later insert on the empty ring
+  // must not be served ahead of it.
+  Engine engine;
+  std::vector<Time> seen;
+  engine.schedule_at(2'000'000'000, [&] { seen.push_back(engine.now()); });
+  engine.run_until(1'500'000'000);
+  engine.schedule_at(2'400'000'000, [&] { seen.push_back(engine.now()); });
+  engine.run();
+  EXPECT_EQ(seen, (std::vector<Time>{2'000'000'000, 2'400'000'000}));
 }
 
 TEST(Node, ProcessArenaReusesSlotsAcrossWaves) {

@@ -1,13 +1,22 @@
 // Unit tests for util: RNG streams and distributions, online statistics,
-// tables, CSV, CLI parsing, thread pool.
+// tables, CSV, the artifact writer's formatting contract, CLI parsing,
+// thread pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <streambuf>
+#include <string>
 #include <vector>
 
+#include "harness/artifacts.hpp"
+#include "util/artifact_writer.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -275,11 +284,9 @@ TEST(Csv, EscapeSpecials) {
 }
 
 TEST(Csv, RoundTrip) {
-  std::ostringstream out;
-  write_csv_row(out, {"plain", "with,comma", "with \"quote\""});
-  std::string line = out.str();
-  ASSERT_FALSE(line.empty());
-  line.pop_back();  // strip '\n'
+  const std::string line = csv_escape("plain") + ',' +
+                           csv_escape("with,comma") + ',' +
+                           csv_escape("with \"quote\"");
   const auto fields = parse_csv_line(line);
   ASSERT_EQ(fields.size(), 3u);
   EXPECT_EQ(fields[0], "plain");
@@ -291,6 +298,175 @@ TEST(Csv, ParseEmptyFields) {
   const auto fields = parse_csv_line("a,,c");
   ASSERT_EQ(fields.size(), 3u);
   EXPECT_EQ(fields[1], "");
+}
+
+// --- Artifact writer: byte-for-byte equivalence with printf ---
+
+std::string printf_format(const char* format, double value) {
+  // "%.4f" of -DBL_MAX is 315 characters.
+  char buf[400];
+  const int n = std::snprintf(buf, sizeof buf, format, value);
+  return std::string(buf, static_cast<std::size_t>(n));
+}
+
+/// The canonical number formatting as it was written with llround and
+/// snprintf, before the artifact writer took it over.
+std::string snprintf_format_number(double value) {
+  if (std::isfinite(value) && value == std::llround(value) &&
+      std::abs(value) < 1e15) {
+    return std::to_string(std::llround(value));
+  }
+  return printf_format("%.10g", value);
+}
+
+std::string general_of(double value) {
+  std::string out;
+  append_general(out, value);
+  return out;
+}
+
+std::string fixed4_of(double value) {
+  std::string out;
+  append_fixed4(out, value);
+  return out;
+}
+
+std::string number_of(double value) {
+  std::string out;
+  append_number(out, value);
+  return out;
+}
+
+void expect_printf_equivalent(double value) {
+  EXPECT_EQ(general_of(value), printf_format("%.10g", value)) << value;
+  EXPECT_EQ(fixed4_of(value), printf_format("%.4f", value)) << value;
+  EXPECT_EQ(number_of(value), snprintf_format_number(value)) << value;
+  EXPECT_EQ(harness::format_number(value), number_of(value)) << value;
+}
+
+TEST(ArtifactWriter, EdgeCasesMatchPrintf) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double cases[] = {
+      0.0, -0.0,
+      // Subnormals: the smallest, the largest, and one in between.
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(DBL_MIN, 0.0), 3.5e-310, DBL_MIN,
+      // The integral cutoff of the canonical number format.
+      1e15, -1e15, 1e15 - 1, -(1e15 - 1), 1e15 + 1,
+      std::nextafter(1e15, 0.0), std::nextafter(1e15, 2e15),
+      999999999999999.5, 9007199254740992.0, 1e16,
+      // Exact binary ties at the last printed digit: "%.10g" of 2^-15
+      // (3.0517578125e-05) and "%.4f" of k/32 sit exactly halfway.
+      0.5, 1.5, 2.5, -2.5, 0.03125, 0.09375, -0.15625, 0.65625,
+      3.0517578125e-05, 12345678905.0, 12345678915.0, 1.00000000005,
+      0.1, 1.0 / 3.0, 2.0 / 3.0, 123456.789, -0.00001, 0.00005,
+      // Large and non-finite values.
+      1e39, 1e300, DBL_MAX, -DBL_MAX, inf, -inf, nan, -nan};
+  for (const double value : cases) expect_printf_equivalent(value);
+}
+
+TEST(ArtifactWriter, RandomDoublesMatchPrintf) {
+  Rng rng(2024);
+  for (int i = 0; i < 1000000; ++i) {
+    double value;
+    switch (i % 4) {
+      case 0: {  // any bit pattern: every exponent, subnormals, NaNs
+        const std::uint64_t bits = rng();
+        std::memcpy(&value, &bits, sizeof value);
+        break;
+      }
+      case 1: value = rng.uniform(-1.0, 1.0); break;
+      case 2: value = rng.exponential(1.0) * 1e6; break;
+      default:  // short decimals, where ties and integral values live
+        value = (static_cast<double>(rng.uniform_int(4000001)) - 2000000.0) /
+                std::pow(10.0, static_cast<double>(rng.uniform_int(7)));
+    }
+    const std::string general = general_of(value);
+    const std::string fixed = fixed4_of(value);
+    const std::string number = number_of(value);
+    if (general != printf_format("%.10g", value) ||
+        fixed != printf_format("%.4f", value) ||
+        number != snprintf_format_number(value)) {
+      expect_printf_equivalent(value);
+      FAIL() << "first mismatch at sample " << i;
+    }
+  }
+}
+
+TEST(ArtifactWriter, LongFixedValuesAreNeverTruncated) {
+  // "%.4f" of these needs more than the writer's small buffer; the
+  // value_too_large retry must produce every digit.
+  for (const double value : {1e36, 1e39, -1e100, 1e300, DBL_MAX, -DBL_MAX}) {
+    const std::string expected = printf_format("%.4f", value);
+    ASSERT_GT(expected.size(), 40u);
+    EXPECT_EQ(fixed4_of(value), expected);
+  }
+  EXPECT_EQ(fixed4_of(-DBL_MAX).size(), 315u);
+}
+
+TEST(ArtifactWriter, IntegersAndHex) {
+  std::string out;
+  append_int(out, std::numeric_limits<std::int64_t>::min());
+  out += ' ';
+  append_int(out, 0);
+  out += ' ';
+  append_hex(out, 0xbeefULL);
+  out += ' ';
+  append_hex(out, 0);
+  EXPECT_EQ(out, "-9223372036854775808 0 beef 0");
+}
+
+TEST(ArtifactWriter, EscapingMatchesTheWrappers) {
+  std::string json;
+  // Control characters, including an embedded NUL, escape as \u00XX.
+  append_json_escaped(json,
+                      std::string_view("a\"b\\c\n\r\t\x01\x1f" "d\0", 12));
+  EXPECT_EQ(json, "a\\\"b\\\\c\\n\\r\\t\\u0001\\u001fd\\u0000");
+  EXPECT_EQ(harness::json_escape("plain"), "plain");
+  std::string csv;
+  append_csv_field(csv, "x,\"y\"");
+  EXPECT_EQ(csv, "\"x,\"\"y\"\"\"");
+  EXPECT_EQ(csv_escape("line\rbreak"), "\"line\rbreak\"");
+}
+
+/// Records the size of every chunk the writer hands to the stream.
+class ChunkRecorder : public std::streambuf {
+ public:
+  std::string bytes;
+  std::size_t largest_chunk = 0;
+  std::size_t chunks = 0;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    bytes.append(s, static_cast<std::size_t>(n));
+    largest_chunk = std::max(largest_chunk, static_cast<std::size_t>(n));
+    ++chunks;
+    return n;
+  }
+  int_type overflow(int_type ch) override {
+    if (ch != traits_type::eof()) bytes.push_back(static_cast<char>(ch));
+    return ch;
+  }
+};
+
+TEST(ArtifactWriter, FlushesInBoundedChunks) {
+  ChunkRecorder sink;
+  std::ostream stream(&sink);
+  std::string expected;
+  {
+    ArtifactWriter writer(stream);
+    for (int i = 0; i < 100000; ++i) {
+      writer.integer(i).raw(',').number(i * 0.25).raw('\n');
+      expected += std::to_string(i) + ',' + harness::format_number(i * 0.25) +
+                  '\n';
+    }
+  }
+  EXPECT_EQ(sink.bytes, expected);
+  EXPECT_GT(sink.chunks, expected.size() / ArtifactWriter::kFlushBytes);
+  // Each flush carries at most one append past the threshold.
+  EXPECT_LE(sink.largest_chunk, ArtifactWriter::kFlushBytes + 32);
 }
 
 TEST(Cli, FlagsAndPositional) {
