@@ -41,12 +41,13 @@ constexpr Variant kVariants[] = {
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
-
   harness::SweepSpec sweep;
+  sweep.base.lambda = 600;
+  const harness::BenchCli cli(
+      argc, argv, {flag("lambda", sweep.base.lambda, "arrival rate (req/s)")});
+
   sweep.base.profile = trace::ksu_profile();
   sweep.base.p = 16;
-  sweep.base.lambda = cli.args.get_double("lambda", 600);
   sweep.base.r = 1.0 / 40.0;
   sweep.base.duration_s = cli.quick ? 6.0 : 12.0;
   sweep.base.warmup_s = 2.0;

@@ -2,22 +2,8 @@
 // composed adversarial scenarios from consecutive seeds, replay each
 // through the full simulator, and judge every run against the central
 // invariant registry (src/check/). Any violation is automatically shrunk
-// to a minimal repro schedule and written as a replayable JSON file.
-//
-//   --chaos-seeds N      seeds in the batch (default 50; 200 for --quick CI
-//                        acceptance runs is fine — schedules are small)
-//   --chaos-start S      first seed (default 1; batches are [S, S+N))
-//   --chaos-horizon H    pin every schedule's horizon to H seconds
-//                        (default: the generator's band — 4-6 s under
-//                        --quick, 8-14 s otherwise)
-//   --chaos-out PREFIX   write minimized repros as PREFIX-repro-<seed>.json
-//                        (default "chaos")
-//   --chaos-replay FILE  replay a schedule/repro file instead of searching
-//                        (repeatable; exit reflects its invariants)
-//   --chaos-dump         write every sampled schedule as
-//                        PREFIX-schedule-<seed>.json (no simulation) —
-//                        the corpus-authoring helper
-//   --chaos-shrink-attempts N  replay budget per shrink (default 160)
+// to a minimal repro schedule and written as a replayable JSON file. The
+// --chaos-* flags are declared, with their docs, at the top of main().
 //
 // The planted-bug drill rides the shared net knob: --net-quorum=false
 // forces every sampled schedule to run membership without quorum gating,
@@ -29,8 +15,10 @@
 // row carries the FNV-1a hash of the run's canonical metrics row — the
 // byte-identity witness a replay must reproduce.
 //
-// Exit status: nonzero when any seed (or replayed file) violates an
-// invariant — CI runs this binary as the chaos smoke test.
+// Exit status: 0 when every seed (or replayed file) passes, 1 when any
+// violates an invariant, 2 on a bad command line or an unreadable or
+// invalid replay file — CI runs this binary as the chaos smoke test and
+// requires exactly 1 from a repro.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -41,6 +29,7 @@
 #include "check/schedule.hpp"
 #include "check/shrink.hpp"
 #include "harness/bench_cli.hpp"
+#include "util/artifact_writer.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -77,42 +66,73 @@ void print_report(const check::ChaosOutcome& outcome) {
                 static_cast<unsigned long long>(outcome.artifact_hash));
 }
 
+/// 0 when every file replays clean, 1 when any violates an invariant, 2
+/// when any is unreadable or invalid (which outranks a violation).
 int replay_files(const std::vector<std::string>& files) {
-  int violated = 0;
+  int status = 0;
   for (const std::string& path : files) {
     check::ChaosSchedule schedule;
     try {
       schedule = check::schedule_from_json(read_file(path));
+      const std::string problem = check::validate(schedule);
+      if (!problem.empty()) throw std::invalid_argument(problem);
     } catch (const std::exception& e) {
-      std::printf("%s: unreadable schedule: %s\n", path.c_str(), e.what());
-      ++violated;
+      std::fprintf(stderr, "%s: invalid schedule: %s\n", path.c_str(),
+                   e.what());
+      status = 2;
       continue;
     }
     std::printf("%s (seed %llu):\n", path.c_str(),
                 static_cast<unsigned long long>(schedule.seed));
     const check::ChaosOutcome outcome = check::run_schedule(schedule);
     print_report(outcome);
-    if (!outcome.ok()) ++violated;
+    if (!outcome.ok() && status == 0) status = 1;
   }
-  return violated == 0 ? 0 : 1;
+  return status;
+}
+
+void write_schedule(const std::string& path,
+                    const check::ChaosSchedule& schedule) {
+  write_artifact_file(path, "chaos schedule", [&](std::ostream& out) {
+    out << check::to_json(schedule);
+  });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::BenchCli cli(argc, argv);
+  long long seeds = 50;
+  std::uint64_t start = 1;
+  double horizon = 0.0;
+  std::string repro_prefix = "chaos";
+  std::vector<std::string> replays;
+  bool dump = false;
+  int shrink_attempts = 160;
+  const harness::BenchCli cli(
+      argc, argv,
+      {flag("chaos-seeds", seeds, "seeds in the batch"),
+       flag("chaos-start", start, "first seed (batches are [S, S+N))"),
+       flag("chaos-horizon", horizon,
+            "pin every schedule's horizon to H seconds (0 keeps the "
+            "generator's band: 4-6 s under --quick, 8-14 s otherwise)"),
+       flag("chaos-out", repro_prefix,
+            "write minimized repros as PREFIX-repro-<seed>.json"),
+       flag("chaos-replay", replays,
+            "replay a schedule/repro file instead of searching (repeatable)"),
+       flag("chaos-dump", dump,
+            "write every sampled schedule as PREFIX-schedule-<seed>.json "
+            "without simulating (the corpus-authoring helper)"),
+       flag("chaos-shrink-attempts", shrink_attempts,
+            "replay budget per shrink")});
 
-  const std::vector<std::string> replays = cli.args.get_all("chaos-replay");
   if (!replays.empty()) return replay_files(replays);
+  if (seeds < 1) {
+    std::fprintf(stderr, "%s: --chaos-seeds must be >= 1\n", argv[0]);
+    return 2;
+  }
 
-  const long long seeds = cli.args.get_int("chaos-seeds", 50);
-  const long long start = cli.args.get_int("chaos-start", 1);
-  const double horizon = cli.args.get_double("chaos-horizon", 0.0);
-  const std::string repro_prefix = cli.args.get("chaos-out", "chaos");
-  const int shrink_attempts =
-      static_cast<int>(cli.args.get_int("chaos-shrink-attempts", 160));
   // The planted-bug override: quorum off makes split-brain reachable.
-  const bool quorum_off = cli.net_set && !cli.net.quorum;
+  const bool quorum_off = !cli.net.quorum;
 
   check::ChaosGenConfig gen =
       cli.quick ? check::ChaosGenConfig::quick() : check::ChaosGenConfig::full();
@@ -127,13 +147,12 @@ int main(int argc, char** argv) {
     return schedule;
   };
 
-  if (cli.args.get_bool("chaos-dump", false)) {
+  if (dump) {
     for (long long i = 0; i < seeds; ++i) {
-      const std::uint64_t seed = static_cast<std::uint64_t>(start + i);
+      const std::uint64_t seed = start + static_cast<std::uint64_t>(i);
       const std::string path =
           repro_prefix + "-schedule-" + std::to_string(seed) + ".json";
-      std::ofstream out(path, std::ios::binary);
-      out << check::to_json(schedule_for(seed));
+      write_schedule(path, schedule_for(seed));
       std::printf("wrote %s\n", path.c_str());
     }
     return 0;
@@ -145,7 +164,7 @@ int main(int argc, char** argv) {
   sweep.name = "chaos";
   harness::Axis seed_axis{"seed", {}, false};
   for (long long i = 0; i < seeds; ++i) {
-    const std::uint64_t seed = static_cast<std::uint64_t>(start + i);
+    const std::uint64_t seed = start + static_cast<std::uint64_t>(i);
     seed_axis.values.push_back({std::to_string(seed), {}, {}});
   }
   sweep.axes = {seed_axis};
@@ -179,9 +198,10 @@ int main(int argc, char** argv) {
     else
       ++violated;
   }
-  std::printf("\nChaos search: %zu seeds [%lld, %lld), %d violation(s), "
+  std::printf("\nChaos search: %zu seeds [%llu, %llu), %d violation(s), "
               "%d error(s)%s\n",
-              run->rows.size(), start, start + seeds, violated, errors,
+              run->rows.size(), static_cast<unsigned long long>(start),
+              static_cast<unsigned long long>(start + seeds), violated, errors,
               quorum_off ? " [quorum OFF — planted-bug mode]" : "");
 
   if (violated + errors > 0) {
@@ -209,8 +229,7 @@ int main(int argc, char** argv) {
           check::shrink(schedule_for(seed), first, shrink_attempts);
       const std::string path =
           repro_prefix + "-repro-" + std::to_string(seed) + ".json";
-      std::ofstream out(path, std::ios::binary);
-      out << check::to_json(minimal.schedule);
+      write_schedule(path, minimal.schedule);
       std::printf("  %d/%d shrink steps accepted -> %s\n", minimal.accepted,
                   minimal.attempts, path.c_str());
     } catch (const std::exception& e) {

@@ -10,27 +10,32 @@
 //
 // Shared harness CLI: --jobs/--filter/--out/--list (see harness/bench_cli).
 #include <cstdio>
+#include <optional>
 
 #include "harness/bench_cli.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
-
   harness::SweepSpec sweep;
+  sweep.base.lambda = 800;
+  sweep.base.cgi_distinct_urls = 2000;
+  sweep.base.cgi_zipf_s = 0.9;
+  std::optional<double> duration;
+  const harness::BenchCli cli(
+      argc, argv,
+      {flag("lambda", sweep.base.lambda, "arrival rate (req/s)"),
+       flag("duration", duration, "simulated seconds (default 12, quick 6)"),
+       flag("urls", sweep.base.cgi_distinct_urls, "distinct CGI content items"),
+       flag("zipf", sweep.base.cgi_zipf_s, "Zipf exponent of CGI popularity")});
+
   sweep.base.profile = trace::ksu_profile();
   sweep.base.p = 16;
-  sweep.base.lambda = cli.args.get_double("lambda", 800);
   sweep.base.r = 1.0 / 40.0;
-  sweep.base.duration_s =
-      cli.args.get_double("duration", cli.quick ? 6.0 : 12.0);
+  sweep.base.duration_s = duration.value_or(cli.quick ? 6.0 : 12.0);
   sweep.base.warmup_s = sweep.base.duration_s * 0.2;
   sweep.base.seed = 1999;
   sweep.base.kind = core::SchedulerKind::kMs;
-  sweep.base.cgi_distinct_urls =
-      static_cast<std::uint64_t>(cli.args.get_int("urls", 2000));
-  sweep.base.cgi_zipf_s = cli.args.get_double("zipf", 0.9);
 
   // One combined (entries, TTL) axis rather than a cross product: the
   // uncached baseline needs no TTL variants.

@@ -26,25 +26,31 @@ namespace {
 
 using namespace wsched;
 
-core::ExperimentSpec base_spec(const harness::BenchCli& cli) {
+core::ExperimentSpec base_spec(const harness::BenchCli& cli, double lambda,
+                               double mttr) {
   core::ExperimentSpec spec;
   spec.profile = trace::ksu_profile();
   spec.p = 16;
-  spec.lambda = cli.args.get_double("lambda", 600);
+  spec.lambda = lambda;
   spec.r = 1.0 / 40.0;
   spec.duration_s = cli.quick ? 8.0 : 20.0;
   spec.warmup_s = 2.0;
   spec.seed = 1999;
-  spec.fault.mttr_s = cli.args.get_double("mttr", 4.0);
+  spec.fault.mttr_s = mttr;
   return spec;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::BenchCli cli(argc, argv);
+  double lambda = 600;
+  double mttr = 4.0;
+  const harness::BenchCli cli(
+      argc, argv,
+      {flag("lambda", lambda, "arrival rate (req/s)"),
+       flag("mttr", mttr, "mean time to repair a crashed node (s)")});
 
-  core::ExperimentSpec spec = base_spec(cli);
+  core::ExperimentSpec spec = base_spec(cli, lambda, mttr);
   if (spec.lambda <= 0.0 || spec.fault.mttr_s <= 0.0) {
     std::fprintf(stderr, "error: --lambda and --mttr must be > 0\n");
     return 2;
@@ -71,7 +77,7 @@ int main(int argc, char** argv) {
   // Sweep 2: deterministic master-crash drill vs a clean run.
   harness::SweepSpec drill;
   drill.name = "drill";
-  drill.base = base_spec(cli);
+  drill.base = base_spec(cli, lambda, mttr);
   drill.base.kind = core::SchedulerKind::kMs;
   drill.base.duration_s = cli.quick ? 10.0 : 20.0;
   drill.base.metrics_tail_start_s = 7.0;

@@ -39,11 +39,11 @@ namespace {
 
 using namespace wsched;
 
-core::ExperimentSpec base_spec(const harness::BenchCli& cli) {
+core::ExperimentSpec base_spec(const harness::BenchCli& cli, double lambda) {
   core::ExperimentSpec spec;
   spec.profile = trace::ksu_profile();
   spec.p = 16;
-  spec.lambda = cli.args.get_double("lambda", 500);
+  spec.lambda = lambda;
   spec.r = 1.0 / 40.0;
   spec.duration_s = cli.quick ? 10.0 : 20.0;
   spec.warmup_s = 2.0;
@@ -91,9 +91,11 @@ bool ledger_closed(const harness::ResultRow& row) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::BenchCli cli(argc, argv);
+  double lambda = 500;
+  const harness::BenchCli cli(
+      argc, argv, {flag("lambda", lambda, "arrival rate (req/s)")});
 
-  core::ExperimentSpec spec = base_spec(cli);
+  core::ExperimentSpec spec = base_spec(cli, lambda);
   if (spec.lambda <= 0.0) {
     std::fprintf(stderr, "error: --lambda must be > 0\n");
     return 2;
@@ -195,7 +197,7 @@ int main(int argc, char** argv) {
   // undefended vs the full defense stack on the identical trace.
   harness::SweepSpec churn;
   churn.name = "churn";
-  churn.base = base_spec(cli);
+  churn.base = base_spec(cli, lambda);
   churn.base.kind = core::SchedulerKind::kMs;
   churn.axes = {
       harness::make_axis(

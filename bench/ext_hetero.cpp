@@ -18,12 +18,13 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
-
   harness::SweepSpec sweep;
+  sweep.base.lambda = 500;
+  const harness::BenchCli cli(
+      argc, argv, {flag("lambda", sweep.base.lambda, "arrival rate (req/s)")});
+
   sweep.base.profile = trace::adl_profile();
   sweep.base.p = 16;
-  sweep.base.lambda = cli.args.get_double("lambda", 500);
   sweep.base.r = 1.0 / 40.0;
   sweep.base.duration_s = cli.quick ? 6.0 : 12.0;
   sweep.base.warmup_s = 2.0;

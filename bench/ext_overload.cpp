@@ -61,10 +61,12 @@ overload::OverloadConfig overload_on() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::BenchCli cli(argc, argv);
+  double lambda_max = 1100.0;
+  const harness::BenchCli cli(
+      argc, argv,
+      {flag("lambda-max", lambda_max, "top of the 500..max req/s ramp")});
 
   core::ExperimentSpec spec = base_spec(cli);
-  const double lambda_max = cli.args.get_double("lambda-max", 1100.0);
   std::vector<double> lambdas;
   for (double l = 500.0; l <= lambda_max + 0.5; l += 150.0)
     lambdas.push_back(l);

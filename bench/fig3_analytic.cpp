@@ -18,12 +18,15 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
-
   harness::SweepSpec sweep;
-  sweep.base.p = static_cast<int>(cli.args.get_int("p", 32));
-  sweep.base.lambda = cli.args.get_double("lambda", 1000);
-  sweep.base.mu_h = cli.args.get_double("mu_h", 1200);
+  sweep.base.p = 32;
+  sweep.base.lambda = 1000;
+  sweep.base.mu_h = 1200;
+  const harness::BenchCli cli(
+      argc, argv,
+      {flag("p", sweep.base.p, "cluster size"),
+       flag("lambda", sweep.base.lambda, "arrival rate (req/s)"),
+       flag("mu_h", sweep.base.mu_h, "per-node static service rate (req/s)")});
   sweep.axes = {
       harness::make_axis(
           "a", std::vector<double>{2.0 / 8.0, 3.0 / 7.0, 4.0 / 6.0},

@@ -16,6 +16,7 @@
 // subset (e.g. --filter trace=UCB), --out PATH writes CSV/JSON artifacts,
 // --list prints the grid. WSCHED_QUICK=1 (or --quick) shrinks the grid.
 #include <cstdio>
+#include <optional>
 
 #include "harness/bench_cli.hpp"
 #include "harness/grids.hpp"
@@ -24,16 +25,22 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
-  const bool quick = cli.quick;
-  const int seeds =
-      static_cast<int>(cli.args.get_int("seeds", quick ? 1 : 3));
-
   harness::SweepSpec sweep;
-  sweep.base.duration_s = cli.args.get_double("duration", quick ? 4.0 : 10.0);
-  sweep.base.warmup_s = cli.args.get_double("warmup", quick ? 1.0 : 2.0);
-  sweep.base.seed =
-      static_cast<std::uint64_t>(cli.args.get_int("seed", 1999));
+  sweep.base.seed = 1999;
+  std::optional<int> replications;
+  std::optional<double> duration, warmup;
+  const harness::BenchCli cli(
+      argc, argv,
+      {flag("seeds", replications,
+            "replications averaged per cell (default 3, quick 1)"),
+       flag("duration", duration, "simulated seconds (default 10, quick 4)"),
+       flag("warmup", warmup, "warm-up seconds (default 2, quick 1)"),
+       flag("seed", sweep.base.seed, "base seed of the sweep")});
+  const bool quick = cli.quick;
+  const int seeds = replications.value_or(quick ? 1 : 3);
+
+  sweep.base.duration_s = duration.value_or(quick ? 4.0 : 10.0);
+  sweep.base.warmup_s = warmup.value_or(quick ? 1.0 : 2.0);
   sweep.axes = {
       harness::table2_cell_axis(quick ? std::vector<int>{32}
                                       : std::vector<int>{32, 128},

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <optional>
 
 #include "harness/bench_cli.hpp"
 #include "harness/grids.hpp"
@@ -23,7 +24,14 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
+  harness::SweepSpec sweep;
+  sweep.base.seed = 1999;
+  std::optional<double> duration, warmup;
+  const harness::BenchCli cli(
+      argc, argv,
+      {flag("duration", duration, "simulated seconds (default 10, quick 4)"),
+       flag("warmup", warmup, "warm-up seconds (default 2, quick 1)"),
+       flag("seed", sweep.base.seed, "base seed of the sweep")});
   const bool quick = cli.quick;
 
   // Fixed-m derivation, as sampled by an administrator once.
@@ -39,11 +47,8 @@ int main(int argc, char** argv) {
   const int m32 = fixed_masters(32, 750);
   const int m128 = fixed_masters(128, 3000);
 
-  harness::SweepSpec sweep;
-  sweep.base.duration_s = cli.args.get_double("duration", quick ? 4.0 : 10.0);
-  sweep.base.warmup_s = cli.args.get_double("warmup", quick ? 1.0 : 2.0);
-  sweep.base.seed =
-      static_cast<std::uint64_t>(cli.args.get_int("seed", 1999));
+  sweep.base.duration_s = duration.value_or(quick ? 4.0 : 10.0);
+  sweep.base.warmup_s = warmup.value_or(quick ? 1.0 : 2.0);
   sweep.base.kind = core::SchedulerKind::kMs;
   sweep.axes = {
       harness::table2_cell_axis(quick ? std::vector<int>{32}

@@ -9,6 +9,7 @@
 //
 // Shared harness CLI: --jobs/--filter/--out/--list (see harness/bench_cli).
 #include <cstdio>
+#include <optional>
 
 #include "harness/bench_cli.hpp"
 #include "trace/generator.hpp"
@@ -17,13 +18,16 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
-  const auto requests = static_cast<std::size_t>(
-      cli.args.get_int("requests", cli.quick ? 20000 : 120000));
-
   harness::SweepSpec sweep;
-  sweep.base.seed =
-      static_cast<std::uint64_t>(cli.args.get_int("seed", 1999));
+  sweep.base.seed = 1999;
+  std::optional<std::size_t> request_count;
+  const harness::BenchCli cli(
+      argc, argv,
+      {flag("requests", request_count,
+            "requests sampled per trace (default 120000, quick 20000)"),
+       flag("seed", sweep.base.seed, "base seed of the sweep")});
+  const std::size_t requests =
+      request_count.value_or(cli.quick ? 20000 : 120000);
   sweep.axes = {harness::profile_axis(trace::table1_profiles())};
 
   const auto eval = [requests](const harness::GridPoint& point) {

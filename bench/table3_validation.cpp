@@ -25,6 +25,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "harness/bench_cli.hpp"
@@ -55,17 +56,26 @@ double run_sim(const trace::Trace& trace, core::SchedulerKind kind, int m,
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::BenchCli cli(argc, argv);
-  if (!cli.args.has("jobs")) cli.options.jobs = 1;  // wall-clock-sensitive
-  const bool quick = cli.quick;
-  const double rate_scale = cli.args.get_double("rate-scale", 1.0);
-  const double duration =
-      cli.args.get_double("duration", quick ? 15.0 : 24.0);
+  harness::SweepSpec sweep;
+  sweep.base.seed = 1999;
+  double rate_scale = 1.0;
+  std::optional<double> run_s;
   // Median over replications: a single real-execution run can absorb a
   // host-level hiccup that inflates its stretch by tens of percent.
-  const int reps = static_cast<int>(cli.args.get_int("reps", 3));
-  const double compression = cli.args.get_double("compression", 2.0);
-  const double duty = cli.args.get_double("duty", 0.125);
+  int reps = 3;
+  double compression = 2.0;
+  double duty = 0.125;
+  const harness::BenchCli cli(
+      argc, argv,
+      {flag("rate-scale", rate_scale, "divide the arrival rates by N"),
+       flag("duration", run_s, "trace seconds (default 24, quick 15)"),
+       flag("reps", reps, "testbed replications per cell (median)"),
+       flag("compression", compression, "wall-clock time compression"),
+       flag("duty", duty, "testbed CPU duty cycle"),
+       flag("seed", sweep.base.seed, "base seed of the sweep")},
+      /*default_jobs=*/1);  // wall-clock-sensitive
+  const bool quick = cli.quick;
+  const double duration = run_s.value_or(quick ? 15.0 : 24.0);
   const double mu_h = 110.0;  // Sun Ultra 1, SPECweb96 (paper §5.2.2)
   const double r = 1.0 / 40.0;
 
@@ -75,12 +85,9 @@ int main(int argc, char** argv) {
   std::vector<double> rates = {20.0, 40.0};
   if (quick) rates = {20.0};
 
-  harness::SweepSpec sweep;
   sweep.base.mu_h = mu_h;
   sweep.base.r = r;
   sweep.base.duration_s = duration;
-  sweep.base.seed =
-      static_cast<std::uint64_t>(cli.args.get_int("seed", 1999));
   sweep.axes = {
       harness::profile_axis(trace::experiment_profiles()),
       harness::make_axis(

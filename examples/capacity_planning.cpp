@@ -28,15 +28,21 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
-
   harness::SweepSpec sweep;
-  sweep.base.p = static_cast<int>(cli.args.get_int("p", 32));
-  sweep.base.mu_h = cli.args.get_double("mu_h", 1200);
-  sweep.base.lambda = cli.args.get_double("lambda", 1000);
-  const double cgi_fraction = cli.args.get_double("cgi-fraction", 0.30);
+  sweep.base.p = 32;
+  sweep.base.mu_h = 1200;
+  sweep.base.lambda = 1000;
+  double cgi_fraction = 0.30;
+  double inv_r = 40;
+  const harness::BenchCli cli(
+      argc, argv,
+      {flag("p", sweep.base.p, "cluster size"),
+       flag("mu_h", sweep.base.mu_h, "per-node static service rate (req/s)"),
+       flag("lambda", sweep.base.lambda, "arrival rate (req/s)"),
+       flag("cgi-fraction", cgi_fraction, "share of dynamic (CGI) requests"),
+       flag("inv-r", inv_r, "1/r: dynamic-to-static demand ratio")});
   sweep.base.a = cgi_fraction / (1.0 - cgi_fraction);
-  sweep.base.r = 1.0 / cli.args.get_double("inv-r", 40);
+  sweep.base.r = 1.0 / inv_r;
   const model::Workload base = core::analytic_workload(sweep.base);
 
   std::vector<int> ms(static_cast<std::size_t>(

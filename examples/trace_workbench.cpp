@@ -13,6 +13,9 @@
 //   trace_workbench --profile ksu|all --lambda 800 --duration 20 [--bursty]
 //                   [--save /tmp/ksu.csv] [--load /tmp/ksu.csv]
 #include <cstdio>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "trace/generator.hpp"
@@ -77,29 +80,44 @@ void print_trace_report(const trace::Trace& t) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::BenchCli cli(argc, argv);
+  std::optional<std::string> load, save;
+  std::vector<trace::WorkloadProfile> profiles = {trace::ksu_profile()};
+  harness::SweepSpec sweep;
+  sweep.base.lambda = 800;
+  sweep.base.duration_s = 20;
+  double inv_r = 40;
+  sweep.base.mu_h = 1200;
+  const harness::BenchCli cli(
+      argc, argv,
+      {flag("load", load, "reload and report a saved trace CSV instead"),
+       flag("save", save, "save each generated trace as CSV"),
+       {"profile", "dec|ucb|ksu|adl, or all (every Table 1 trace)",
+        [&profiles](const std::string& v) {
+          profiles = v == "all" ? trace::table1_profiles()
+                                : std::vector<trace::WorkloadProfile>{
+                                      trace::profile_by_name(v)};
+        }},
+       flag("lambda", sweep.base.lambda, "arrival rate (req/s)"),
+       flag("duration", sweep.base.duration_s, "trace seconds"),
+       flag("inv-r", inv_r, "1/r: dynamic-to-static demand ratio"),
+       flag("mu_h", sweep.base.mu_h, "per-node static service rate (req/s)"),
+       flag("seed", sweep.base.seed, "generator seed"),
+       flag("bursty", sweep.base.bursty, "bursty (MMPP) arrivals")});
 
-  if (cli.args.has("load")) {
-    const std::string path = cli.args.get("load", "");
-    const trace::Trace t = trace::load_trace_file(path);
-    std::printf("Loaded %zu records from %s\n\n", t.size(), path.c_str());
+  if (load) {
+    trace::Trace t;
+    try {
+      t = trace::load_trace_file(*load);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: --load: %s\n", argv[0], e.what());
+      return 2;
+    }
+    std::printf("Loaded %zu records from %s\n\n", t.size(), load->c_str());
     print_trace_report(t);
     return 0;
   }
 
-  const std::string which = cli.args.get("profile", "ksu");
-  const std::vector<trace::WorkloadProfile> profiles =
-      which == "all"
-          ? trace::table1_profiles()
-          : std::vector<trace::WorkloadProfile>{trace::profile_by_name(which)};
-
-  harness::SweepSpec sweep;
-  sweep.base.lambda = cli.args.get_double("lambda", 800);
-  sweep.base.duration_s = cli.args.get_double("duration", 20);
-  sweep.base.r = 1.0 / cli.args.get_double("inv-r", 40);
-  sweep.base.mu_h = cli.args.get_double("mu_h", 1200);
-  sweep.base.seed = static_cast<std::uint64_t>(cli.args.get_int("seed", 1));
-  sweep.base.bursty = cli.args.get_bool("bursty", false);
+  sweep.base.r = 1.0 / inv_r;
   sweep.axes = {harness::profile_axis(profiles)};
 
   const auto eval = [](const harness::GridPoint& point) {
@@ -130,12 +148,10 @@ int main(int argc, char** argv) {
                 point.spec.bursty ? ", bursty" : "");
     print_trace_report(t);
     std::printf("\n");
-    if (cli.args.has("save")) {
-      const std::string path = cli.args.get("save", "");
+    if (save) {
       const std::string target =
-          run->points.size() == 1
-              ? path
-              : path + "." + point.spec.profile.name;
+          run->points.size() == 1 ? *save
+                                  : *save + "." + point.spec.profile.name;
       trace::save_trace_file(target, t);
       std::printf("Saved to %s\n\n", target.c_str());
     }

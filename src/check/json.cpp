@@ -204,6 +204,7 @@ class Parser {
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
     v.number = value;
+    v.string = token;
     return v;
   }
 
@@ -226,14 +227,6 @@ double JsonValue::get_number(const std::string& key, double fallback) const {
   if (v->kind != Kind::kNumber)
     throw std::invalid_argument("json: member '" + key + "' is not a number");
   return v->number;
-}
-
-bool JsonValue::get_bool(const std::string& key, bool fallback) const {
-  const JsonValue* v = find(key);
-  if (v == nullptr) return fallback;
-  if (v->kind != Kind::kBool)
-    throw std::invalid_argument("json: member '" + key + "' is not a bool");
-  return v->boolean;
 }
 
 std::string JsonValue::get_string(const std::string& key,

@@ -5,11 +5,13 @@
 // a small strict recursive-descent reader over the JSON subset the schedule
 // files use — objects, arrays, strings, numbers, booleans, null — with no
 // dependency beyond the standard library. Malformed input throws
-// std::invalid_argument with a byte offset; numbers are parsed as double
-// (every schedule field is a double, an integer that fits one exactly, or a
-// string), which is lossless for the 2^53 range the schedules live in.
+// std::invalid_argument with a byte offset. Numbers are parsed as double,
+// and each number also keeps its token, so integer members (a 64-bit
+// seed beyond 2^53, say) read back exactly through integer<T>().
 #pragma once
 
+#include <charconv>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +24,7 @@ struct JsonValue {
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
+  /// kString: the decoded text. kNumber: the token as written.
   std::string string;
   std::vector<JsonValue> array;
   /// Insertion-ordered members (schedules are written canonically, and
@@ -30,6 +33,18 @@ struct JsonValue {
 
   bool is(Kind k) const { return kind == k; }
 
+  /// The exact value of an integer token (no fraction or exponent) that
+  /// fits in T; nullopt for any other value.
+  template <class T>
+  std::optional<T> integer() const {
+    if (kind != Kind::kNumber) return std::nullopt;
+    T value{};
+    const char* end = string.data() + string.size();
+    const auto [ptr, ec] = std::from_chars(string.data(), end, value);
+    if (ec != std::errc() || ptr != end) return std::nullopt;
+    return value;
+  }
+
   /// Member lookup; null when absent or when this is not an object.
   const JsonValue* find(const std::string& key) const;
 
@@ -37,7 +52,6 @@ struct JsonValue {
   // with the wrong kind throws std::invalid_argument — a schedule with
   // "loss": "high" is corrupt, not defaulted.
   double get_number(const std::string& key, double fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
 };

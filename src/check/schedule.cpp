@@ -1,11 +1,13 @@
 #include "check/schedule.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 #include "check/json.hpp"
-#include "harness/artifacts.hpp"
+#include "util/artifact_writer.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -26,6 +28,168 @@ trace::WorkloadProfile profile_by_name(const std::string& name) {
 }
 
 const char* kProfiles[] = {"ksu", "ucb", "dec", "adl"};
+
+// The schedule file format is these three tables: to_json writes each
+// member in table order, schedule_from_json reads these keys and rejects
+// any other, and a missing key keeps the struct default.
+template <class T, class... V>
+struct Field {
+  using Record = T;
+  const char* key;
+  std::variant<V T::*...> member;
+};
+
+using C = CrashEpisode;
+const Field<C, double, int> kCrashFields[] = {
+    {"at_s", &C::at_s}, {"node", &C::node}, {"recover_s", &C::recover_s}};
+
+using W = PartitionWindow;
+const Field<W, double, int> kPartitionFields[] = {
+    {"from_s", &W::from_s}, {"until_s", &W::until_s}, {"cut", &W::cut}};
+
+using S = ChaosSchedule;
+const Field<S, std::uint64_t, int, double, bool, std::string,
+            std::vector<CrashEpisode>, std::vector<PartitionWindow>>
+    kScheduleFields[] = {
+        {"seed", &S::seed},
+        // workload
+        {"horizon_s", &S::horizon_s}, {"warmup_s", &S::warmup_s},
+        {"p", &S::p}, {"m", &S::m}, {"lambda", &S::lambda},
+        {"profile", &S::profile}, {"bursty", &S::bursty},
+        {"diurnal", &S::diurnal}, {"diurnal_period_s", &S::diurnal_period_s},
+        {"diurnal_amplitude", &S::diurnal_amplitude},
+        {"flip_at_s", &S::flip_at_s}, {"flip_profile", &S::flip_profile},
+        // fault layer
+        {"fault", &S::fault}, {"crashes", &S::crashes},
+        {"crash_mttf_s", &S::crash_mttf_s}, {"crash_mttr_s", &S::crash_mttr_s},
+        {"degrade_mttf_s", &S::degrade_mttf_s},
+        {"degrade_mttr_s", &S::degrade_mttr_s},
+        {"degrade_cpu_factor", &S::degrade_cpu_factor},
+        {"degrade_disk_factor", &S::degrade_disk_factor},
+        {"stall_period_s", &S::stall_period_s},
+        {"stall_len_s", &S::stall_len_s},
+        // interconnect
+        {"net", &S::net}, {"net_loss", &S::net_loss},
+        {"net_latency_jitter_s", &S::net_latency_jitter_s},
+        {"net_reorder", &S::net_reorder}, {"quorum", &S::quorum},
+        {"stale_max_age_s", &S::stale_max_age_s},
+        {"load_report_interval_s", &S::load_report_interval_s},
+        {"partitions", &S::partitions},
+        // overload control
+        {"deadline_static_s", &S::deadline_static_s},
+        {"deadline_dynamic_s", &S::deadline_dynamic_s},
+        {"shed_policy", &S::shed_policy},
+        {"overload_retries", &S::overload_retries},
+        {"breakers", &S::breakers}, {"degraded_mode", &S::degraded_mode},
+        // control plane
+        {"ctrl", &S::ctrl}, {"ctrl_interval_s", &S::ctrl_interval_s},
+        {"theta_slew", &S::theta_slew}, {"autoscale", &S::autoscale},
+        {"min_powered", &S::min_powered},
+        {"retarget_masters", &S::retarget_masters},
+        // gray-failure defenses and the span probe
+        {"slow_health", &S::slow_health},
+        {"slow_health_exclude", &S::slow_health_exclude},
+        {"hedge", &S::hedge}, {"hedge_delay_s", &S::hedge_delay_s},
+        {"spans", &S::spans},
+};
+
+const auto& fields_of(const CrashEpisode&) { return kCrashFields; }
+const auto& fields_of(const PartitionWindow&) { return kPartitionFields; }
+
+// One writer and one reader per field type. A reader throws
+// std::invalid_argument saying what the value must be.
+template <class Item>
+void write_value(std::string& out, const std::vector<Item>& items);
+template <class Item>
+void read_value(const JsonValue& v, std::vector<Item>& items);
+void write_value(std::string& out, std::uint64_t v) { append_uint(out, v); }
+void write_value(std::string& out, int v) { append_int(out, v); }
+void write_value(std::string& out, double v) { append_number(out, v); }
+void write_value(std::string& out, bool v) { out += v ? "true" : "false"; }
+void write_value(std::string& out, const std::string& v) {
+  out += '"';
+  append_json_escaped(out, v);
+  out += '"';
+}
+
+/// `"key": value` for every field, `separator` between them.
+template <class F, std::size_t N>
+void append_members(std::string& out, const typename F::Record& record,
+                    const F (&fields)[N], const char* separator) {
+  for (const F& field : fields) {
+    if (&field != fields) out += separator;
+    out += '"';
+    out += field.key;
+    out += "\": ";
+    std::visit([&](auto member) { write_value(out, record.*member); },
+               field.member);
+  }
+}
+
+/// Nested records are written inline as [{...}, {...}].
+template <class Item>
+void write_value(std::string& out, const std::vector<Item>& items) {
+  out += '[';
+  for (const Item& item : items) {
+    out += &item == items.data() ? "{" : ", {";
+    append_members(out, item, fields_of(item), ", ");
+    out += '}';
+  }
+  out += ']';
+}
+
+void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string("must be ") + what);
+}
+template <class T>
+void read_value(const JsonValue& v, T& target) {
+  const std::optional<T> parsed = v.integer<T>();
+  require(parsed.has_value(), "an integer");
+  target = *parsed;
+}
+void read_value(const JsonValue& v, double& target) {
+  require(v.is(JsonValue::Kind::kNumber), "a number");
+  target = v.number;
+}
+void read_value(const JsonValue& v, bool& target) {
+  require(v.is(JsonValue::Kind::kBool), "a bool");
+  target = v.boolean;
+}
+void read_value(const JsonValue& v, std::string& target) {
+  require(v.is(JsonValue::Kind::kString), "a string");
+  target = v.string;
+}
+
+/// Reads a record from a JSON object; an error names the member's key.
+template <class F, std::size_t N>
+typename F::Record read_members(const JsonValue& object,
+                                const F (&fields)[N]) {
+  require(object.is(JsonValue::Kind::kObject), "an object");
+  typename F::Record record;
+  for (const auto& [key, value] : object.object) {
+    if (std::is_same_v<typename F::Record, ChaosSchedule> &&
+        (key == "format" || key == "version"))
+      continue;
+    const F* field = std::find_if(
+        fields, fields + N, [&key](const F& f) { return key == f.key; });
+    if (field == fields + N)
+      throw std::invalid_argument("\"" + key + "\" is not a schedule member");
+    try {
+      std::visit([&](auto member) { read_value(value, record.*member); },
+                 field->member);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("\"" + key + "\" " + e.what());
+    }
+  }
+  return record;
+}
+
+template <class Item>
+void read_value(const JsonValue& v, std::vector<Item>& items) {
+  require(v.is(JsonValue::Kind::kArray), "an array");
+  for (const JsonValue& item : v.array)
+    items.push_back(read_members(item, fields_of(Item{})));
+}
 
 }  // namespace
 
@@ -171,7 +335,12 @@ ChaosSchedule generate_schedule(std::uint64_t seed,
 
 std::string validate(const ChaosSchedule& s) {
   if (s.p < 2 || s.m < 1 || s.m >= s.p) return "need 2 <= m+1 <= p";
+  if (s.warmup_s < 0.0) return "warmup must be >= 0";
   if (s.horizon_s <= s.warmup_s) return "horizon must exceed warmup";
+  for (const std::string& name : {s.profile, s.flip_profile})
+    if (std::find(std::begin(kProfiles), std::end(kProfiles), name) ==
+        std::end(kProfiles))
+      return "unknown profile '" + name + "'";
   if (s.lambda <= 0.0) return "lambda must be > 0";
   if (s.autoscale && s.fault)
     return "autoscale and the fault layer are mutually exclusive";
@@ -301,87 +470,14 @@ core::ExperimentSpec to_spec(const ChaosSchedule& s) {
 }
 
 std::string to_json(const ChaosSchedule& s) {
-  using harness::format_number;
-  std::ostringstream out;
-  const auto num = [&](const char* key, double v, bool tail = true) {
-    out << "  \"" << key << "\": " << format_number(v) << (tail ? ",\n" : "\n");
-  };
-  const auto boolean = [&](const char* key, bool v, bool tail = true) {
-    out << "  \"" << key << "\": " << (v ? "true" : "false")
-        << (tail ? ",\n" : "\n");
-  };
-  const auto str = [&](const char* key, const std::string& v,
-                       bool tail = true) {
-    out << "  \"" << key << "\": \"" << harness::json_escape(v) << "\""
-        << (tail ? ",\n" : "\n");
-  };
-  out << "{\n";
-  str("format", kFormatTag);
-  num("version", kFormatVersion);
-  num("seed", static_cast<double>(s.seed));
-  num("horizon_s", s.horizon_s);
-  num("warmup_s", s.warmup_s);
-  num("p", s.p);
-  num("m", s.m);
-  num("lambda", s.lambda);
-  str("profile", s.profile);
-  boolean("bursty", s.bursty);
-  boolean("diurnal", s.diurnal);
-  num("diurnal_period_s", s.diurnal_period_s);
-  num("diurnal_amplitude", s.diurnal_amplitude);
-  num("flip_at_s", s.flip_at_s);
-  str("flip_profile", s.flip_profile);
-  boolean("fault", s.fault);
-  out << "  \"crashes\": [";
-  for (std::size_t i = 0; i < s.crashes.size(); ++i) {
-    const CrashEpisode& c = s.crashes[i];
-    out << (i > 0 ? ", " : "") << "{\"at_s\": " << format_number(c.at_s)
-        << ", \"node\": " << c.node
-        << ", \"recover_s\": " << format_number(c.recover_s) << "}";
-  }
-  out << "],\n";
-  num("crash_mttf_s", s.crash_mttf_s);
-  num("crash_mttr_s", s.crash_mttr_s);
-  num("degrade_mttf_s", s.degrade_mttf_s);
-  num("degrade_mttr_s", s.degrade_mttr_s);
-  num("degrade_cpu_factor", s.degrade_cpu_factor);
-  num("degrade_disk_factor", s.degrade_disk_factor);
-  num("stall_period_s", s.stall_period_s);
-  num("stall_len_s", s.stall_len_s);
-  boolean("net", s.net);
-  num("net_loss", s.net_loss);
-  num("net_latency_jitter_s", s.net_latency_jitter_s);
-  num("net_reorder", s.net_reorder);
-  boolean("quorum", s.quorum);
-  num("stale_max_age_s", s.stale_max_age_s);
-  num("load_report_interval_s", s.load_report_interval_s);
-  out << "  \"partitions\": [";
-  for (std::size_t i = 0; i < s.partitions.size(); ++i) {
-    const PartitionWindow& w = s.partitions[i];
-    out << (i > 0 ? ", " : "") << "{\"from_s\": " << format_number(w.from_s)
-        << ", \"until_s\": " << format_number(w.until_s)
-        << ", \"cut\": " << w.cut << "}";
-  }
-  out << "],\n";
-  num("deadline_static_s", s.deadline_static_s);
-  num("deadline_dynamic_s", s.deadline_dynamic_s);
-  str("shed_policy", s.shed_policy);
-  num("overload_retries", s.overload_retries);
-  boolean("breakers", s.breakers);
-  boolean("degraded_mode", s.degraded_mode);
-  boolean("ctrl", s.ctrl);
-  num("ctrl_interval_s", s.ctrl_interval_s);
-  num("theta_slew", s.theta_slew);
-  boolean("autoscale", s.autoscale);
-  num("min_powered", s.min_powered);
-  boolean("retarget_masters", s.retarget_masters);
-  boolean("slow_health", s.slow_health);
-  boolean("slow_health_exclude", s.slow_health_exclude);
-  boolean("hedge", s.hedge);
-  num("hedge_delay_s", s.hedge_delay_s);
-  boolean("spans", s.spans, /*tail=*/false);
-  out << "}\n";
-  return out.str();
+  std::string out = "{\n  \"format\": \"";
+  out += kFormatTag;
+  out += "\",\n  \"version\": ";
+  append_int(out, kFormatVersion);
+  out += ",\n  ";
+  append_members(out, s, kScheduleFields, ",\n  ");
+  out += "\n}\n";
+  return out;
 }
 
 ChaosSchedule schedule_from_json(const std::string& text) {
@@ -393,93 +489,11 @@ ChaosSchedule schedule_from_json(const std::string& text) {
         "chaos schedule: missing or wrong \"format\" tag");
   if (doc.get_number("version", 0) != kFormatVersion)
     throw std::invalid_argument("chaos schedule: unsupported version");
-
-  ChaosSchedule defaults;
-  ChaosSchedule s;
-  s.seed = static_cast<std::uint64_t>(doc.get_number("seed", 1));
-  s.horizon_s = doc.get_number("horizon_s", defaults.horizon_s);
-  s.warmup_s = doc.get_number("warmup_s", defaults.warmup_s);
-  s.p = static_cast<int>(doc.get_number("p", defaults.p));
-  s.m = static_cast<int>(doc.get_number("m", defaults.m));
-  s.lambda = doc.get_number("lambda", defaults.lambda);
-  s.profile = doc.get_string("profile", defaults.profile);
-  s.bursty = doc.get_bool("bursty", defaults.bursty);
-  s.diurnal = doc.get_bool("diurnal", defaults.diurnal);
-  s.diurnal_period_s =
-      doc.get_number("diurnal_period_s", defaults.diurnal_period_s);
-  s.diurnal_amplitude =
-      doc.get_number("diurnal_amplitude", defaults.diurnal_amplitude);
-  s.flip_at_s = doc.get_number("flip_at_s", defaults.flip_at_s);
-  s.flip_profile = doc.get_string("flip_profile", defaults.flip_profile);
-  s.fault = doc.get_bool("fault", defaults.fault);
-  if (const JsonValue* crashes = doc.find("crashes")) {
-    if (!crashes->is(JsonValue::Kind::kArray))
-      throw std::invalid_argument("chaos schedule: \"crashes\" not an array");
-    for (const JsonValue& c : crashes->array) {
-      CrashEpisode e;
-      e.at_s = c.get_number("at_s", 0.0);
-      e.node = static_cast<int>(c.get_number("node", 0));
-      e.recover_s = c.get_number("recover_s", 0.0);
-      s.crashes.push_back(e);
-    }
+  try {
+    return read_members(doc, kScheduleFields);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("chaos schedule: ") + e.what());
   }
-  s.crash_mttf_s = doc.get_number("crash_mttf_s", defaults.crash_mttf_s);
-  s.crash_mttr_s = doc.get_number("crash_mttr_s", defaults.crash_mttr_s);
-  s.degrade_mttf_s = doc.get_number("degrade_mttf_s", defaults.degrade_mttf_s);
-  s.degrade_mttr_s = doc.get_number("degrade_mttr_s", defaults.degrade_mttr_s);
-  s.degrade_cpu_factor =
-      doc.get_number("degrade_cpu_factor", defaults.degrade_cpu_factor);
-  s.degrade_disk_factor =
-      doc.get_number("degrade_disk_factor", defaults.degrade_disk_factor);
-  s.stall_period_s = doc.get_number("stall_period_s", defaults.stall_period_s);
-  s.stall_len_s = doc.get_number("stall_len_s", defaults.stall_len_s);
-  s.net = doc.get_bool("net", defaults.net);
-  s.net_loss = doc.get_number("net_loss", defaults.net_loss);
-  s.net_latency_jitter_s =
-      doc.get_number("net_latency_jitter_s", defaults.net_latency_jitter_s);
-  s.net_reorder = doc.get_number("net_reorder", defaults.net_reorder);
-  s.quorum = doc.get_bool("quorum", defaults.quorum);
-  s.stale_max_age_s =
-      doc.get_number("stale_max_age_s", defaults.stale_max_age_s);
-  s.load_report_interval_s = doc.get_number("load_report_interval_s",
-                                            defaults.load_report_interval_s);
-  if (const JsonValue* partitions = doc.find("partitions")) {
-    if (!partitions->is(JsonValue::Kind::kArray))
-      throw std::invalid_argument(
-          "chaos schedule: \"partitions\" not an array");
-    for (const JsonValue& w : partitions->array) {
-      PartitionWindow window;
-      window.from_s = w.get_number("from_s", 0.0);
-      window.until_s = w.get_number("until_s", 0.0);
-      window.cut = static_cast<int>(w.get_number("cut", 1));
-      s.partitions.push_back(window);
-    }
-  }
-  s.deadline_static_s =
-      doc.get_number("deadline_static_s", defaults.deadline_static_s);
-  s.deadline_dynamic_s =
-      doc.get_number("deadline_dynamic_s", defaults.deadline_dynamic_s);
-  s.shed_policy = doc.get_string("shed_policy", defaults.shed_policy);
-  s.overload_retries = static_cast<int>(
-      doc.get_number("overload_retries", defaults.overload_retries));
-  s.breakers = doc.get_bool("breakers", defaults.breakers);
-  s.degraded_mode = doc.get_bool("degraded_mode", defaults.degraded_mode);
-  s.ctrl = doc.get_bool("ctrl", defaults.ctrl);
-  s.ctrl_interval_s =
-      doc.get_number("ctrl_interval_s", defaults.ctrl_interval_s);
-  s.theta_slew = doc.get_number("theta_slew", defaults.theta_slew);
-  s.autoscale = doc.get_bool("autoscale", defaults.autoscale);
-  s.min_powered =
-      static_cast<int>(doc.get_number("min_powered", defaults.min_powered));
-  s.retarget_masters =
-      doc.get_bool("retarget_masters", defaults.retarget_masters);
-  s.slow_health = doc.get_bool("slow_health", defaults.slow_health);
-  s.slow_health_exclude =
-      doc.get_bool("slow_health_exclude", defaults.slow_health_exclude);
-  s.hedge = doc.get_bool("hedge", defaults.hedge);
-  s.hedge_delay_s = doc.get_number("hedge_delay_s", defaults.hedge_delay_s);
-  s.spans = doc.get_bool("spans", defaults.spans);
-  return s;
 }
 
 }  // namespace wsched::check

@@ -142,9 +142,10 @@ ChaosSchedule generate_schedule(std::uint64_t seed,
 /// the shrinker and the determinism tests compare.
 std::string to_json(const ChaosSchedule& schedule);
 
-/// Parses a schedule file. Unknown members are ignored (forward
-/// compatibility); a wrong "format" tag or malformed JSON throws
-/// std::invalid_argument.
+/// Parses a schedule file. A missing member keeps the struct default;
+/// malformed JSON, a wrong "format" tag, an unknown member, a wrong-typed
+/// value or a non-integral value for an integer member throws
+/// std::invalid_argument naming the member.
 ChaosSchedule schedule_from_json(const std::string& text);
 
 /// Lowers the scenario onto an ExperimentSpec (M/S scheduler, guard rails

@@ -1,145 +1,165 @@
 #include "harness/bench_cli.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/log.hpp"
 #include "util/artifact_writer.hpp"
 
 namespace wsched::harness {
 
-BenchCli::BenchCli(int argc, const char* const* argv)
-    : args(argc, argv),
-      out(args.get("out", "")),
-      list(args.get_bool("list", false)),
-      quick(env_flag("WSCHED_QUICK", false) || args.get_bool("quick", false)) {
-  options.jobs = static_cast<int>(args.get_int("jobs", 0));
-  options.filters = args.get_all("filter");
-  obs.trace_path = args.get("trace", "");
-  obs.probe_interval_s = args.get_double("probe-interval", 0.0);
-  obs.probe_path = args.get("probe-out", "");
-  obs.decision_log_path = args.get("decision-log", "");
-  obs.spans = args.get_bool("spans", false);
-  obs.span_path = args.get("span-out", "");
-  obs.exemplars = static_cast<int>(args.get_int("exemplars", obs.exemplars));
-  if (args.has("log")) {
-    obs::set_log_level(obs::parse_log_level(args.get("log", "off")));
-  } else {
-    obs::init_log_from_env();
+namespace {
+
+/// Adds one subsystem's flags: giving any of them switches it on.
+void add_group(std::vector<Flag>& table, bool& enables,
+               std::vector<Flag> group) {
+  for (Flag& entry : group) {
+    entry.enables = &enables;
+    table.push_back(std::move(entry));
   }
+}
+
+/// The shared flag table, bound to `c`'s fields.
+std::vector<Flag> shared_flags(BenchCli& c) {
+  overload::OverloadConfig& o = c.overload;
+  net::NetworkParams& n = c.net;
+  ctrl::CtrlConfig& ctl = c.ctrl;
+  fault::FaultConfig& g = c.gray;
+  fault::SlowHealthConfig& sh = c.slow_health;
+  core::HedgeConfig& h = c.hedge;
+  std::vector<Flag> table = {
+      flag("jobs", c.options.jobs,
+           "worker threads for point evaluation (0 = all cores)"),
+      flag("filter", c.options.filters,
+           "run only points whose id contains S (repeatable, OR)"),
+      flag("out", c.out,
+           "write PATH.csv / PATH.json (a named sweep: PATH-<name>.*)"),
+      flag("list", c.list, "print the (filtered) point ids and exit"),
+      flag("quick", c.quick, "CI-sized runs (also via WSCHED_QUICK=1)"),
+      // With several points, each obs file path gets a -p<index> suffix.
+      flag("trace", c.obs.trace_path,
+           "Chrome trace_event JSON per evaluated point (Perfetto)"),
+      flag("probe-interval", c.obs.probe_interval_s,
+           "sample per-node/cluster series every S simulated seconds"),
+      flag("probe-out", c.obs.probe_path,
+           "probe CSV path (default: derived from --trace, else probes.csv)"),
+      flag("decision-log", c.obs.decision_log_path,
+           "per-dispatch decision records as CSV"),
+      flag("spans", c.obs.spans,
+           "request-causal spans: span_* columns, flow arrows in --trace"),
+      flag("span-out", c.obs.span_path,
+           "worst-K exemplar span trees as JSON (implies --spans)"),
+      flag("exemplars", c.obs.exemplars, "exemplars per request class"),
+      {"log", "diagnostics verbosity off|warn|info|debug (or WSCHED_LOG)",
+       [](const std::string& v) {
+         const obs::LogLevel level = obs::parse_log_level(v);
+         if (level == obs::LogLevel::kOff && v != "off" && v != "0")
+           throw std::invalid_argument("expected off|warn|info|debug");
+         obs::set_log_level(level);
+       }},
+      flag("ctrl", ctl.enabled, "self-tuning control plane (w/r, theta'_2)"),
+      flag("slow-health", sh.enabled, "latency watchdog, default settings"),
+      flag("hedge", h.enabled, "hedged dispatch, adaptive p95 delay"),
+  };
+  add_group(table, c.overload_set, {
+      flag("deadline-static", o.deadline.static_s,
+           "client abandons static requests after S seconds"),
+      flag("deadline-dynamic", o.deadline.dynamic_s,
+           "client abandons dynamic requests after S seconds"),
+      {"shed-policy", "admission policy: none|queue|util|stretch",
+       [&o](const std::string& v) {
+         o.admission.policy = overload::parse_admission_policy(v);
+       }},
+      flag("shed-queue", o.admission.max_queue, "mean per-node queue cap"),
+      flag("shed-util", o.admission.max_utilization, "shed ramp start"),
+      flag("shed-target", o.admission.stretch_target, "static-stretch SLO"),
+      flag("breakers", o.breaker.enabled, "per-node circuit breakers"),
+      flag("degraded-mode", o.saturation.enabled, "static-only when saturated"),
+      flag("overload-retries", o.max_retries, "retries of shed requests"),
+  });
+  add_group(table, n.enabled, {
+      flag("net-loss", n.loss, "per-message drop probability"),
+      {"net-latency", "dispatch hop B[:J] s: base B + exponential jitter J",
+       [&n](const std::string& v) {
+         const std::size_t colon = v.find(':');
+         n.latency_base_s = parse_double(v.substr(0, colon));
+         if (colon != std::string::npos)
+           n.latency_jitter_s = parse_double(v.substr(colon + 1));
+       }},
+      {"net-partition", "window T0:T1:G (repeatable), e.g. 6:10:0-5|6,7",
+       [&n](const std::string& v) {
+         n.partitions.push_back(net::parse_partition_spec(v));
+       }},
+      flag("load-report-interval", n.load_report_interval_s,
+           "per-node load-report period (0 rides load sampling)"),
+      flag("stale-fallback", n.stale_max_age_s,
+           "power-of-two choices once every report is older than S s"),
+      flag("net-quorum", n.quorum, "quorum-gated promotion (false: split)"),
+  });
+  add_group(table, ctl.enabled, {
+      flag("ctrl-interval", ctl.interval_s, "control-loop tick period (s)"),
+      flag("ctrl-alpha", ctl.estimate_alpha, "estimator EWMA weight"),
+      flag("ctrl-slew", ctl.theta_slew, "max theta'_2 step per tick"),
+      flag("ctrl-autoscale", ctl.autoscale,
+           "hysteretic slave power-down/up (excludes the fault layer)"),
+      flag("ctrl-up", ctl.scale_up_util, "scale-up mean-busy threshold"),
+      flag("ctrl-down", ctl.scale_down_util, "scale-down mean-busy threshold"),
+      flag("ctrl-dwell", ctl.dwell_s, "minimum seconds between actions"),
+      flag("ctrl-min-nodes", ctl.min_powered, "floor on powered nodes"),
+      flag("ctrl-masters", ctl.retarget_masters, "Theorem-1 master count"),
+  });
+  add_group(table, g.enabled, {
+      flag("gray-mttf", g.degrade_mttf_s, "mean time to a fail-slow episode"),
+      flag("gray-mttr", g.degrade_mttr_s, "mean episode length"),
+      flag("gray-cpu", g.degrade_cpu_factor, "limping CPU speed factor"),
+      flag("gray-disk", g.degrade_disk_factor, "limping disk speed factor"),
+      flag("gray-stall-period", g.stall_period_s, "mean gap between stalls"),
+      flag("gray-stall-len", g.stall_len_s, "stall burst length"),
+      flag("gray-stall-factor", g.stall_factor, "speed factor in a stall"),
+      flag("gray-net-loss", g.degrade_net_loss, "extra loss while limping"),
+      flag("gray-net-latency", g.degrade_net_latency_factor,
+           "latency multiplier while limping"),
+  });
+  add_group(table, sh.enabled, {
+      flag("slow-health-alpha", sh.alpha, "stretch EWMA weight"),
+      flag("slow-health-degrade", sh.degrade_ratio, "EWMA > R x median"),
+      flag("slow-health-recover", sh.recover_ratio, "EWMA < R x median"),
+      flag("slow-health-min-samples", sh.min_samples, "trusted after N"),
+      flag("slow-health-penalty", sh.penalty, "RSRC cost x (1 + X)"),
+      flag("slow-health-exclude", sh.exclude, "drop degraded candidates"),
+      flag("slow-health-period", sh.check_period_s, "watchdog period (s)"),
+  });
+  add_group(table, h.enabled, {
+      flag("hedge-delay", h.delay_s, "fixed delay (0: adaptive rule)"),
+      flag("hedge-factor", h.delay_factor, "delay = X * p95 stretch * demand"),
+      flag("hedge-min-delay", h.min_delay_s, "floor of the adaptive delay"),
+      flag("hedge-static", h.hedge_static, "hedge static requests too"),
+  });
+  return table;
+}
+
+}  // namespace
+
+BenchCli::BenchCli(int argc, const char* const* argv,
+                   std::vector<Flag> bench_flags, int default_jobs) {
+  options.jobs = default_jobs;
   // Benches quarantine broken points (EngineGuardError and friends) into
   // SweepRun::failures instead of aborting a long sweep on one bad
   // configuration; library callers keep fail-fast semantics by default.
   options.quarantine = true;
-  overload.deadline.static_s = args.get_double("deadline-static", 0.0);
-  overload.deadline.dynamic_s = args.get_double("deadline-dynamic", 0.0);
-  overload.admission.policy =
-      overload::parse_admission_policy(args.get("shed-policy", "none"));
-  overload.admission.max_queue =
-      args.get_double("shed-queue", overload.admission.max_queue);
-  overload.admission.max_utilization =
-      args.get_double("shed-util", overload.admission.max_utilization);
-  overload.admission.stretch_target =
-      args.get_double("shed-target", overload.admission.stretch_target);
-  overload.breaker.enabled = args.get_bool("breakers", false);
-  overload.saturation.enabled = args.get_bool("degraded-mode", false);
-  overload.max_retries = static_cast<int>(
-      args.get_int("overload-retries", overload.max_retries));
-  overload_set =
-      args.has("deadline-static") || args.has("deadline-dynamic") ||
-      args.has("shed-policy") || args.has("shed-queue") ||
-      args.has("shed-util") || args.has("shed-target") ||
-      args.has("breakers") || args.has("degraded-mode") ||
-      args.has("overload-retries");
-  net.loss = args.get_double("net-loss", net.loss);
-  const std::string net_latency = args.get("net-latency", "");
-  if (!net_latency.empty()) {
-    const std::size_t colon = net_latency.find(':');
-    try {
-      net.latency_base_s = std::stod(net_latency.substr(0, colon));
-      if (colon != std::string::npos)
-        net.latency_jitter_s = std::stod(net_latency.substr(colon + 1));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("--net-latency expects B or B:J seconds, got " +
-                                  net_latency);
-    }
+  obs::init_log_from_env();  // --log overrides
+  std::vector<Flag> table = shared_flags(*this);
+  for (Flag& entry : bench_flags) table.push_back(std::move(entry));
+  try {
+    parse_flags(CliArgs(argc, argv), table);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "bench",
+                 e.what());
+    std::exit(2);
   }
-  for (const std::string& window : args.get_all("net-partition"))
-    net.partitions.push_back(net::parse_partition_spec(window));
-  net.load_report_interval_s =
-      args.get_double("load-report-interval", net.load_report_interval_s);
-  net.stale_max_age_s = args.get_double("stale-fallback", net.stale_max_age_s);
-  net.quorum = args.get_bool("net-quorum", net.quorum);
-  net_set = args.has("net-loss") || args.has("net-latency") ||
-            args.has("net-partition") || args.has("load-report-interval") ||
-            args.has("stale-fallback") || args.has("net-quorum");
-  net.enabled = net_set;
-  ctrl.interval_s = args.get_double("ctrl-interval", ctrl.interval_s);
-  ctrl.estimate_alpha = args.get_double("ctrl-alpha", ctrl.estimate_alpha);
-  ctrl.theta_slew = args.get_double("ctrl-slew", ctrl.theta_slew);
-  ctrl.autoscale = args.get_bool("ctrl-autoscale", false);
-  ctrl.scale_up_util = args.get_double("ctrl-up", ctrl.scale_up_util);
-  ctrl.scale_down_util = args.get_double("ctrl-down", ctrl.scale_down_util);
-  ctrl.dwell_s = args.get_double("ctrl-dwell", ctrl.dwell_s);
-  ctrl.min_powered =
-      static_cast<int>(args.get_int("ctrl-min-nodes", ctrl.min_powered));
-  ctrl.retarget_masters = args.get_bool("ctrl-masters", false);
-  // Any tuning flag implies the control plane; a bare `--ctrl false` (or
-  // no ctrl flags at all) keeps the subsystem out of the run entirely.
-  ctrl.enabled =
-      args.get_bool("ctrl", false) || args.has("ctrl-interval") ||
-      args.has("ctrl-alpha") || args.has("ctrl-slew") ||
-      args.has("ctrl-autoscale") || args.has("ctrl-up") ||
-      args.has("ctrl-down") || args.has("ctrl-dwell") ||
-      args.has("ctrl-min-nodes") || args.has("ctrl-masters");
-  ctrl_set = ctrl.enabled;
-  gray.degrade_mttf_s = args.get_double("gray-mttf", gray.degrade_mttf_s);
-  gray.degrade_mttr_s = args.get_double("gray-mttr", gray.degrade_mttr_s);
-  gray.degrade_cpu_factor =
-      args.get_double("gray-cpu", gray.degrade_cpu_factor);
-  gray.degrade_disk_factor =
-      args.get_double("gray-disk", gray.degrade_disk_factor);
-  gray.stall_period_s =
-      args.get_double("gray-stall-period", gray.stall_period_s);
-  gray.stall_len_s = args.get_double("gray-stall-len", gray.stall_len_s);
-  gray.stall_factor = args.get_double("gray-stall-factor", gray.stall_factor);
-  gray.degrade_net_loss =
-      args.get_double("gray-net-loss", gray.degrade_net_loss);
-  gray.degrade_net_latency_factor =
-      args.get_double("gray-net-latency", gray.degrade_net_latency_factor);
-  gray_set = args.has("gray-mttf") || args.has("gray-mttr") ||
-             args.has("gray-cpu") || args.has("gray-disk") ||
-             args.has("gray-stall-period") || args.has("gray-stall-len") ||
-             args.has("gray-stall-factor") || args.has("gray-net-loss") ||
-             args.has("gray-net-latency");
-  gray.enabled = gray_set;
-  slow_health.alpha = args.get_double("slow-health-alpha", slow_health.alpha);
-  slow_health.degrade_ratio =
-      args.get_double("slow-health-degrade", slow_health.degrade_ratio);
-  slow_health.recover_ratio =
-      args.get_double("slow-health-recover", slow_health.recover_ratio);
-  slow_health.min_samples = static_cast<int>(
-      args.get_int("slow-health-min-samples", slow_health.min_samples));
-  slow_health.penalty =
-      args.get_double("slow-health-penalty", slow_health.penalty);
-  slow_health.exclude = args.get_bool("slow-health-exclude", false);
-  slow_health.check_period_s =
-      args.get_double("slow-health-period", slow_health.check_period_s);
-  slow_health.enabled =
-      args.get_bool("slow-health", false) || args.has("slow-health-alpha") ||
-      args.has("slow-health-degrade") || args.has("slow-health-recover") ||
-      args.has("slow-health-min-samples") ||
-      args.has("slow-health-penalty") || args.has("slow-health-exclude") ||
-      args.has("slow-health-period");
-  slow_health_set = slow_health.enabled;
-  hedge.delay_s = args.get_double("hedge-delay", hedge.delay_s);
-  hedge.delay_factor = args.get_double("hedge-factor", hedge.delay_factor);
-  hedge.min_delay_s = args.get_double("hedge-min-delay", hedge.min_delay_s);
-  hedge.hedge_static = args.get_bool("hedge-static", false);
-  hedge.enabled = args.get_bool("hedge", false) || args.has("hedge-delay") ||
-                  args.has("hedge-factor") || args.has("hedge-min-delay") ||
-                  args.has("hedge-static");
-  hedge_set = hedge.enabled;
+  quick = quick || env_flag("WSCHED_QUICK", false);
 }
 
 namespace {
@@ -195,8 +215,9 @@ std::optional<SweepRun> run_bench(const SweepSpec& spec, const BenchCli& cli,
   // With several points, file paths are suffixed by grid index so parallel
   // evaluation never interleaves writers.
   EvalFn wrapped = eval;
-  if (cli.obs.any() || cli.overload_set || cli.net_set || cli.ctrl_set ||
-      cli.gray_set || cli.slow_health_set || cli.hedge_set) {
+  if (cli.obs.any() || cli.overload_set || cli.net.enabled ||
+      cli.ctrl.enabled || cli.gray.enabled || cli.slow_health.enabled ||
+      cli.hedge.enabled) {
     std::size_t filtered = 0;
     for (const GridPoint& point : expand(spec))
       if (matches_filters(point.id, cli.options.filters)) ++filtered;
@@ -206,9 +227,9 @@ std::optional<SweepRun> run_bench(const SweepSpec& spec, const BenchCli& cli,
       if (cli.obs.any())
         traced.spec.obs = obs_for_point(cli.obs, point.index, multi);
       if (cli.overload_set) traced.spec.overload = cli.overload;
-      if (cli.net_set) traced.spec.net = cli.net;
-      if (cli.ctrl_set) traced.spec.ctrl = cli.ctrl;
-      if (cli.gray_set) {
+      if (cli.net.enabled) traced.spec.net = cli.net;
+      if (cli.ctrl.enabled) traced.spec.ctrl = cli.ctrl;
+      if (cli.gray.enabled) {
         // Merge (don't clobber): a bench's own scripted crashes survive,
         // only the fail-slow churn fields come from the CLI.
         fault::FaultConfig& fault = traced.spec.fault;
@@ -224,8 +245,8 @@ std::optional<SweepRun> run_bench(const SweepSpec& spec, const BenchCli& cli,
         fault.degrade_net_latency_factor =
             cli.gray.degrade_net_latency_factor;
       }
-      if (cli.slow_health_set) traced.spec.slow_health = cli.slow_health;
-      if (cli.hedge_set) traced.spec.hedge = cli.hedge;
+      if (cli.slow_health.enabled) traced.spec.slow_health = cli.slow_health;
+      if (cli.hedge.enabled) traced.spec.hedge = cli.hedge;
       return eval(traced);
     };
   }

@@ -34,6 +34,12 @@ void append_int(std::string& out, std::int64_t value) {
   out.append(buf, result.ptr);
 }
 
+void append_uint(std::string& out, std::uint64_t value) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, result.ptr);
+}
+
 void append_hex(std::string& out, std::uint64_t value) {
   char buf[24];
   const auto result = std::to_chars(buf, buf + sizeof buf, value, 16);

@@ -27,6 +27,7 @@
 namespace wsched {
 
 void append_int(std::string& out, std::int64_t value);
+void append_uint(std::string& out, std::uint64_t value);
 /// Lowercase hex, no prefix, no leading zeros (like `std::hex`).
 void append_hex(std::string& out, std::uint64_t value);
 /// printf "%.10g".

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -475,9 +476,9 @@ TEST(Cli, FlagsAndPositional) {
   const char* argv[] = {"prog", "--alpha=3", "--beta", "7",
                         "input.txt", "--verbose"};
   CliArgs args(6, argv);
-  EXPECT_EQ(args.get_int("alpha", 0), 3);
-  EXPECT_EQ(args.get_int("beta", 0), 7);
-  EXPECT_TRUE(args.get_bool("verbose", false));
+  EXPECT_EQ(args.get("alpha", ""), "3");
+  EXPECT_EQ(args.get("beta", ""), "7");
+  EXPECT_EQ(args.get("verbose", ""), "1");
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "input.txt");
 }
@@ -486,15 +487,7 @@ TEST(Cli, Defaults) {
   const char* argv[] = {"prog"};
   CliArgs args(1, argv);
   EXPECT_EQ(args.get("missing", "fallback"), "fallback");
-  EXPECT_DOUBLE_EQ(args.get_double("missing", 2.5), 2.5);
   EXPECT_FALSE(args.has("missing"));
-}
-
-TEST(Cli, BoolValues) {
-  const char* argv[] = {"prog", "--on=true", "--off=0"};
-  CliArgs args(3, argv);
-  EXPECT_TRUE(args.get_bool("on", false));
-  EXPECT_FALSE(args.get_bool("off", true));
 }
 
 TEST(Cli, RepeatedFlagsAccumulate) {
@@ -513,7 +506,7 @@ TEST(Cli, RepeatedFlagsAccumulate) {
 TEST(Cli, RepeatedScalarLastWins) {
   const char* argv[] = {"prog", "--jobs", "2", "--jobs=8"};
   CliArgs args(4, argv);
-  EXPECT_EQ(args.get_int("jobs", 0), 8);
+  EXPECT_EQ(args.get("jobs", ""), "8");
   EXPECT_EQ(args.get_all("jobs").size(), 2u);
 }
 
@@ -556,6 +549,82 @@ TEST(Cli, FlagNamesEnumerated) {
   EXPECT_EQ(names[1], "b");
 }
 
+TEST(Cli, StrictParsersRejectMalformedValues) {
+  for (const char* bad : {"0.5abc", "abc", "", " 1", "1e999"})
+    EXPECT_THROW(parse_double(bad), std::invalid_argument) << bad;
+  for (const char* bad : {"2x", "abc", "", "1.5", "99999999999999999999"})
+    EXPECT_THROW(parse_int(bad), std::invalid_argument) << bad;
+  for (const char* bad : {"ture", "", "True", "2"})
+    EXPECT_THROW(parse_bool(bad), std::invalid_argument) << bad;
+}
+
+TEST(Cli, StrictParsersAcceptWholeTokens) {
+  EXPECT_DOUBLE_EQ(parse_double("0.5"), 0.5);
+  EXPECT_DOUBLE_EQ(parse_double("-1e-3"), -1e-3);
+  EXPECT_EQ(parse_int("-42"), -42);
+  EXPECT_EQ(parse_uint("18446744073709551615"), 18446744073709551615ull);
+  EXPECT_THROW(parse_uint("-1"), std::invalid_argument);
+  for (const char* yes : {"1", "true", "yes", "on"}) EXPECT_TRUE(parse_bool(yes));
+  for (const char* no : {"0", "false", "no", "off"}) EXPECT_FALSE(parse_bool(no));
+  EXPECT_THROW(parse_bool("True"), std::invalid_argument);
+}
+
+TEST(Cli, ParseFlagsAppliesTableAndEnables) {
+  double rate = 1.5;
+  int count = 2;
+  std::optional<double> horizon;
+  std::vector<std::string> tags;
+  bool layer = false;
+  double knob = 0.25;
+  std::vector<Flag> table = {flag("rate", rate, "r"),
+                             flag("count", count, "c"),
+                             flag("horizon", horizon, "h"),
+                             flag("tag", tags, "t"),
+                             flag("knob", knob, "k")};
+  table.back().enables = &layer;
+
+  const char* bare[] = {"prog"};
+  parse_flags(CliArgs(1, bare), table);
+  EXPECT_DOUBLE_EQ(rate, 1.5);
+  EXPECT_FALSE(horizon.has_value());
+  EXPECT_FALSE(layer);
+
+  const char* argv[] = {"prog", "--rate=3", "--count", "7", "--horizon=9",
+                        "--tag=a", "--tag=b", "--knob=0.5"};
+  parse_flags(CliArgs(8, argv), table);
+  EXPECT_DOUBLE_EQ(rate, 3.0);
+  EXPECT_EQ(count, 7);
+  EXPECT_EQ(horizon, 9.0);
+  EXPECT_EQ(tags, (std::vector<std::string>{"a", "b"}));
+  EXPECT_DOUBLE_EQ(knob, 0.5);
+  EXPECT_TRUE(layer);
+}
+
+TEST(Cli, ParseFlagsRejectsUnknownPositionalAndMalformed) {
+  double rate = 1.0;
+  int count = 0;
+  const std::vector<Flag> table = {flag("rate", rate, "r"),
+                                   flag("count", count, "c")};
+  const auto message = [&table](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "prog");
+    try {
+      parse_flags(CliArgs(static_cast<int>(argv.size()), argv.data()), table);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const std::string unknown = message({"--rat=2"});
+  EXPECT_NE(unknown.find("--rat"), std::string::npos) << unknown;
+  EXPECT_NE(unknown.find("--rate --count"), std::string::npos) << unknown;
+  EXPECT_NE(message({"stray"}).find("stray"), std::string::npos);
+  EXPECT_NE(message({"--rate=abc"}).find("--rate=abc"), std::string::npos);
+  EXPECT_NE(message({"--count=two"}).find("--count=two"), std::string::npos);
+  EXPECT_NE(message({"--count=99999999999"}).find("out of range"),
+            std::string::npos);
+  EXPECT_EQ(message({"--rate=2", "--count=3"}), "accepted");
+}
+
 TEST(EnvFlag, ParsesAndFallsBack) {
   ::setenv("WSCHED_TEST_FLAG", "yes", 1);
   EXPECT_TRUE(env_flag("WSCHED_TEST_FLAG", false));
@@ -563,12 +632,9 @@ TEST(EnvFlag, ParsesAndFallsBack) {
   EXPECT_FALSE(env_flag("WSCHED_TEST_FLAG", true));
   ::unsetenv("WSCHED_TEST_FLAG");
   EXPECT_TRUE(env_flag("WSCHED_TEST_FLAG", true));
-
-  ::setenv("WSCHED_TEST_NUM", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_double("WSCHED_TEST_NUM", 0.0), 2.5);
-  ::setenv("WSCHED_TEST_NUM", "junk", 1);
-  EXPECT_DOUBLE_EQ(env_double("WSCHED_TEST_NUM", 7.0), 7.0);
-  ::unsetenv("WSCHED_TEST_NUM");
+  ::setenv("WSCHED_TEST_FLAG", "junk", 1);
+  EXPECT_TRUE(env_flag("WSCHED_TEST_FLAG", true));
+  ::unsetenv("WSCHED_TEST_FLAG");
 }
 
 TEST(Rng, UniformRangeRespectsBounds) {
