@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <limits>
+#include <queue>
 #include <vector>
 
 #include "sim/cpu_sched.hpp"
@@ -636,6 +639,190 @@ TEST(Engine, RunUntilShortOfOverflowThenLaterInsertStaysOrdered) {
   engine.schedule_at(2'400'000'000, [&] { seen.push_back(engine.now()); });
   engine.run();
   EXPECT_EQ(seen, (std::vector<Time>{2'000'000'000, 2'400'000'000}));
+}
+
+/// Differential harness: drives every Engine scheduling entry point with a
+/// seeded random mix and checks the exact dispatch order against a
+/// reference std::priority_queue on (t, seq). Closure and call events
+/// report their id when they run; typed node events are no-ops on an idle
+/// node (stale tokens, empty tick), so they are checked by position: each
+/// reporting event must run with events_processed() equal to its rank in
+/// the reference order.
+class EngineDifferential {
+ public:
+  explicit EngineDifferential(std::uint64_t seed)
+      : rng_(seed), node_(engine_, os_, NodeParams{}, 0) {}
+
+  /// Runs the mix until `budget` events have been scheduled, then drains.
+  void run(std::uint64_t budget) {
+    budget_ = budget;
+    for (int i = 0; i < 256; ++i)
+      schedule_random(static_cast<Time>(draw() % (3 * kSecond)));
+    while (scheduled_ < budget_) {
+      // Horizons land anywhere from mid-bucket to beyond the window.
+      const Time horizon =
+          engine_.now() + static_cast<Time>(draw() % (3 * kSecond / 2));
+      engine_.run_until(horizon);
+      settle_until(horizon);
+      // Earlier inserts: at now() itself and just past it, usually in a
+      // bucket ahead of the one run_until parked the cursor on.
+      const int inserts = 1 + static_cast<int>(draw() % 8);
+      for (int i = 0; i < inserts; ++i) {
+        const Time dt = draw() % 4 == 0
+                            ? 0
+                            : static_cast<Time>(draw() % (Time{1} << 21));
+        schedule_random(engine_.now() + dt);
+      }
+      if (ref_.size() < 64) {
+        for (int i = 0; i < 64; ++i)
+          schedule_random(engine_.now() +
+                          static_cast<Time>(draw() % kSecond));
+      }
+    }
+    engine_.run();
+    settle_until(std::numeric_limits<Time>::max());
+    EXPECT_TRUE(ref_.empty());
+    EXPECT_EQ(engine_.pending(), 0u);
+    EXPECT_EQ(engine_.events_processed(), scheduled_);
+  }
+
+  std::uint64_t scheduled() const { return scheduled_; }
+  std::uint64_t mismatches() const { return mismatches_; }
+
+ private:
+  struct Ref {
+    Time t;
+    std::uint64_t seq;
+    std::uint64_t id;
+    bool reports;  ///< closure/call events report; typed node events don't
+  };
+  struct Later {
+    bool operator()(const Ref& a, const Ref& b) const {
+      if (a.t != b.t) return a.t > b.t;
+      return a.seq > b.seq;
+    }
+  };
+  struct CallCtx {
+    EngineDifferential* self;
+    std::uint64_t id;
+  };
+
+  std::uint64_t draw() { return splitmix64(rng_); }
+
+  /// Schedules one event of a random kind at `t` (clamped to now(), as the
+  /// engine does) and mirrors it into the reference queue.
+  void schedule_random(Time t) {
+    if (t < engine_.now()) t = engine_.now();
+    const std::uint64_t id = scheduled_++;
+    bool reports = true;
+    switch (draw() % 5) {
+      case 0:
+        engine_.schedule_at(t, [this, id] { on_event(id); });
+        break;
+      case 1:
+        calls_.push_back({this, id});
+        engine_.schedule_call(t, &EngineDifferential::call_trampoline,
+                              &calls_.back());
+        break;
+      case 2:  // cpu_epoch_ starts at 0: a nonzero token is stale
+        engine_.schedule_cpu_slice_end(t, &node_, 1 + draw() % 1000);
+        reports = false;
+        break;
+      case 3:
+        engine_.schedule_disk_slice_end(t, &node_, 1 + draw() % 1000);
+        reports = false;
+        break;
+      default:  // no live processes: the tick returns at once
+        engine_.schedule_node_tick(t, &node_);
+        reports = false;
+        break;
+    }
+    ref_.push({t, next_seq_++, id, reports});
+  }
+
+  static void call_trampoline(void* ctx) {
+    auto* call = static_cast<CallCtx*>(ctx);
+    call->self->on_event(call->id);
+  }
+
+  void on_event(std::uint64_t id) {
+    // Pop the reference up to the first reporting event; the typed events
+    // passed over must already have run.
+    while (!ref_.empty()) {
+      const Ref top = ref_.top();
+      ref_.pop();
+      ++ref_pos_;
+      if (!top.reports) continue;
+      if (top.id != id || top.t != engine_.now() ||
+          ref_pos_ != engine_.events_processed()) {
+        if (++mismatches_ <= 5)
+          ADD_FAILURE() << "dispatched id " << id << " at t="
+                        << engine_.now() << " position "
+                        << engine_.events_processed() << "; reference id "
+                        << top.id << " at t=" << top.t << " position "
+                        << ref_pos_;
+      }
+      break;
+    }
+    if (scheduled_ >= budget_) return;
+    // Children: same-time ties, same-bucket inserts into the draining
+    // bucket, in-window and beyond-window times, and past times that the
+    // engine clamps to now().
+    const int children = ref_.size() < 32 ? 2 : static_cast<int>(draw() % 3);
+    for (int i = 0; i < children; ++i) {
+      const std::uint64_t kind = draw() % 10;
+      Time dt;
+      if (kind < 3) {
+        dt = 0;
+      } else if (kind < 6) {
+        dt = static_cast<Time>(draw() % (Time{1} << 19));
+      } else if (kind < 8) {
+        dt = static_cast<Time>(draw() % kSecond);
+      } else if (kind < 9) {
+        dt = kSecond + static_cast<Time>(draw() % (3 * kSecond));
+      } else {
+        dt = -static_cast<Time>(draw() % kMillisecond);
+      }
+      schedule_random(engine_.now() + dt);
+    }
+  }
+
+  /// After run_until(horizon): every reference event at or before the
+  /// horizon must have run; only non-reporting ones can still be queued in
+  /// the reference (nothing popped them).
+  void settle_until(Time horizon) {
+    while (!ref_.empty() && ref_.top().t <= horizon) {
+      EXPECT_FALSE(ref_.top().reports)
+          << "reporting event " << ref_.top().id << " never ran";
+      ref_.pop();
+      ++ref_pos_;
+    }
+    EXPECT_EQ(ref_pos_, engine_.events_processed());
+    EXPECT_EQ(engine_.pending(), ref_.size());
+  }
+
+  std::uint64_t rng_;
+  Engine engine_;
+  OsParams os_;
+  Node node_;
+  std::priority_queue<Ref, std::vector<Ref>, Later> ref_;
+  std::deque<CallCtx> calls_;
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t budget_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t ref_pos_ = 0;
+  std::uint64_t mismatches_ = 0;
+};
+
+TEST(Engine, DispatchOrderMatchesReferenceHeap) {
+  std::uint64_t total = 0;
+  for (const std::uint64_t seed : {1ull, 7ull, 42ull, 1999ull, 0xC0FFEEull}) {
+    EngineDifferential diff(seed);
+    diff.run(60000);
+    EXPECT_EQ(diff.mismatches(), 0u) << "seed " << seed;
+    total += diff.scheduled();
+  }
+  EXPECT_GE(total, 200000u);
 }
 
 TEST(Node, ProcessArenaReusesSlotsAcrossWaves) {
