@@ -10,18 +10,13 @@ DispatchFeedback::DispatchFeedback(std::size_t nodes, Time sample_window,
     : window_(sample_window),
       floor_(floor),
       demand_s_(initial_demand_s),
-      base_(nodes),
       effective_(nodes) {
   if (window_ <= 0) throw std::invalid_argument("feedback window must be > 0");
 }
 
-void DispatchFeedback::on_sample(const LoadVec& fresh) {
-  base_ = fresh;
-  effective_ = fresh;
-}
+void DispatchFeedback::on_sample(const LoadVec& fresh) { effective_ = fresh; }
 
 void DispatchFeedback::on_node_report(std::size_t node, const LoadInfo& fresh) {
-  base_[node] = fresh;
   effective_[node] = fresh;
 }
 

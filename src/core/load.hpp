@@ -105,7 +105,8 @@ class DispatchFeedback {
   DispatchFeedback(std::size_t nodes, Time sample_window,
                    double initial_demand_s, double floor = 0.01);
 
-  /// Refreshes the base snapshot (call whenever the monitor samples).
+  /// Resets the effective snapshot to a fresh sample (call whenever the
+  /// monitor samples).
   void on_sample(const LoadVec& fresh);
 
   /// Refreshes one node's snapshot from a delivered load report (the
@@ -127,7 +128,6 @@ class DispatchFeedback {
   Time window_;
   double floor_;
   double demand_s_;  ///< EWMA of dynamic service demand, seconds
-  LoadVec base_;
   LoadVec effective_;
 };
 

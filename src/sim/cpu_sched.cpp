@@ -31,8 +31,7 @@ Process* CpuScheduler::pop_best() {
   if (size_ == 0) return nullptr;
   const auto lvl = static_cast<std::size_t>(
       std::countr_zero(nonempty_mask_));
-  Process* proc = levels_[lvl].front();
-  levels_[lvl].pop_front();
+  Process* proc = levels_[lvl].pop_front();
   if (levels_[lvl].empty()) nonempty_mask_ &= ~(1ULL << lvl);
   --size_;
   return proc;
@@ -57,14 +56,10 @@ bool CpuScheduler::remove(Process* proc) {
   const auto expected = static_cast<std::size_t>(level_of(*proc));
   for (std::size_t offset = 0; offset < levels_.size(); ++offset) {
     const std::size_t lvl = (expected + offset) % levels_.size();
-    auto& level = levels_[lvl];
-    for (auto it = level.begin(); it != level.end(); ++it) {
-      if (*it != proc) continue;
-      level.erase(it);
-      if (level.empty()) nonempty_mask_ &= ~(1ULL << lvl);
-      --size_;
-      return true;
-    }
+    if (!levels_[lvl].remove(proc)) continue;
+    if (levels_[lvl].empty()) nonempty_mask_ &= ~(1ULL << lvl);
+    --size_;
+    return true;
   }
   return false;
 }
@@ -76,15 +71,15 @@ void CpuScheduler::clear() {
 }
 
 void CpuScheduler::rebucket_all() {
-  std::vector<Process*> drained;
-  drained.reserve(size_);
-  for (auto& level : levels_) {
-    for (Process* proc : level) drained.push_back(proc);
-    level.clear();
-  }
+  // Relink in place: chain the levels into one queue in level order (FIFO
+  // within a level), then re-enqueue in that order, so each process lands
+  // at the back of its new level.
+  ProcQueue all;
+  for (std::uint64_t mask = nonempty_mask_; mask != 0; mask &= mask - 1)
+    all.splice_back(levels_[static_cast<std::size_t>(std::countr_zero(mask))]);
   nonempty_mask_ = 0;
   size_ = 0;
-  for (Process* proc : drained) enqueue(proc);
+  while (!all.empty()) enqueue(all.pop_front());
 }
 
 }  // namespace wsched::sim

@@ -10,11 +10,12 @@
 // p_cpu = p_cpu * 2*load / (2*load + 1).
 //
 // The queue is a passive structure; the Node drives dispatching, quantum
-// accounting and preemption.
+// accounting and preemption. Each level is an intrusive FIFO (ProcQueue)
+// threaded through the processes themselves, so enqueueing never
+// allocates.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/params.hpp"
@@ -60,7 +61,7 @@ class CpuScheduler {
 
  private:
   const OsParams* os_;
-  std::vector<std::deque<Process*>> levels_;
+  std::vector<ProcQueue> levels_;
   std::size_t size_ = 0;
   std::uint64_t nonempty_mask_ = 0;  // bit i set when levels_[i] nonempty
 };

@@ -72,6 +72,9 @@ struct Process {
   Time node_arrival = 0;
   /// Index into the owning Node's live-process table (for O(1) removal).
   std::size_t live_index = 0;
+  /// Queue link (ProcQueue). A process waits in at most one queue at a
+  /// time, the MLFQ ready queue or the disk ring, and `state` says which.
+  Process* next = nullptr;
 
   /// Loads the next cycle's work; returns false when no cycles remain.
   bool load_cycle() {
@@ -84,6 +87,64 @@ struct Process {
     ++cycle;
     return load_cycle();
   }
+};
+
+/// Intrusive FIFO of processes threaded through Process::next: the MLFQ
+/// levels and the disk ring grow with the node's processes, never per
+/// enqueue.
+class ProcQueue {
+ public:
+  bool empty() const { return head_ == nullptr; }
+
+  void push_back(Process* proc) {
+    proc->next = nullptr;
+    if (tail_ != nullptr) {
+      tail_->next = proc;
+    } else {
+      head_ = proc;
+    }
+    tail_ = proc;
+  }
+
+  /// Precondition: !empty().
+  Process* pop_front() {
+    Process* proc = head_;
+    head_ = proc->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    proc->next = nullptr;
+    return proc;
+  }
+
+  /// Unlinks `proc` wherever it sits (linear scan); false when absent.
+  bool remove(Process* proc) {
+    Process* prev = nullptr;
+    for (Process* it = head_; it != nullptr; prev = it, it = it->next) {
+      if (it != proc) continue;
+      (prev != nullptr ? prev->next : head_) = it->next;
+      if (tail_ == it) tail_ = prev;
+      it->next = nullptr;
+      return true;
+    }
+    return false;
+  }
+
+  /// Appends all of `other`'s processes, in order, and empties it.
+  void splice_back(ProcQueue& other) {
+    if (other.head_ == nullptr) return;
+    if (tail_ != nullptr) {
+      tail_->next = other.head_;
+    } else {
+      head_ = other.head_;
+    }
+    tail_ = other.tail_;
+    other.head_ = other.tail_ = nullptr;
+  }
+
+  void clear() { head_ = tail_ = nullptr; }
+
+ private:
+  Process* head_ = nullptr;
+  Process* tail_ = nullptr;
 };
 
 }  // namespace wsched::sim

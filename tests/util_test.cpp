@@ -219,6 +219,102 @@ TEST(PercentileSampler, ReservoirApproximation) {
   EXPECT_EQ(sampler.count(), 100000u);
 }
 
+/// Sort-then-interpolate reference for PercentileSampler: the same
+/// reservoir (Algorithm R on the same splitmix64 stream), fully sorted
+/// before every query.
+class ReferenceSampler {
+ public:
+  ReferenceSampler(std::size_t capacity, std::uint64_t seed)
+      : capacity_(capacity), rng_state_(seed) {}
+
+  void add(double x) {
+    ++seen_;
+    if (sample_.size() < capacity_) {
+      sample_.push_back(x);
+      return;
+    }
+    const std::uint64_t slot = splitmix64(rng_state_) % seen_;
+    if (slot < capacity_) sample_[static_cast<std::size_t>(slot)] = x;
+  }
+
+  double percentile(double q) const {
+    if (sample_.empty()) return 0.0;
+    std::vector<double> sorted = sample_;
+    std::sort(sorted.begin(), sorted.end());
+    q = std::clamp(q, 0.0, 1.0);
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::uint64_t rng_state_;
+  std::size_t seen_ = 0;
+  std::vector<double> sample_;
+};
+
+/// Feeds both samplers `n` values and compares every quantile bit for bit,
+/// several times over in shuffled query orders.
+void expect_percentiles_exact(std::size_t capacity, std::size_t n,
+                              std::uint64_t seed, bool duplicates) {
+  PercentileSampler sampler(capacity, seed);
+  ReferenceSampler reference(capacity, seed);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = duplicates
+                         ? static_cast<double>(rng.uniform_int(5)) * 0.25
+                         : rng.uniform() * 10.0;
+    sampler.add(x);
+    reference.add(x);
+  }
+  std::vector<double> qs = {0.0, 0.5, 0.95, 0.99, 1.0};
+  for (int round = 0; round < 4; ++round) {
+    for (const double q : qs)
+      EXPECT_EQ(sampler.percentile(q), reference.percentile(q))
+          << "capacity " << capacity << " n " << n << " seed " << seed
+          << " q " << q << " round " << round;
+    std::reverse(qs.begin(), qs.end());
+    if (round == 1) std::rotate(qs.begin(), qs.begin() + 2, qs.end());
+  }
+}
+
+TEST(PercentileSampler, SelectionMatchesSortBitForBit) {
+  for (const std::size_t n : {1u, 2u, 3u, 10u, 11u, 1000u, 1001u}) {
+    for (const std::uint64_t seed : {3ull, 17ull}) {
+      expect_percentiles_exact(4096, n, seed, false);
+      expect_percentiles_exact(4096, n, seed, true);
+    }
+  }
+}
+
+TEST(PercentileSampler, SelectionExactAfterReservoirOverflow) {
+  for (const std::uint64_t seed : {5ull, 29ull}) {
+    expect_percentiles_exact(64, 5000, seed, false);
+    expect_percentiles_exact(64, 5000, seed, true);
+    expect_percentiles_exact(257, 20000, seed, false);
+  }
+}
+
+TEST(PercentileSampler, QueriesBetweenAddsStayExact) {
+  // A query partitions the scratch copy; later adds must refresh it.
+  PercentileSampler sampler(128, 9);
+  ReferenceSampler reference(128, 9);
+  Rng rng(9);
+  for (int i = 0; i < 1000; ++i) {
+    const double x = rng.uniform();
+    sampler.add(x);
+    reference.add(x);
+    if (i % 37 == 0) {
+      EXPECT_EQ(sampler.percentile(0.95), reference.percentile(0.95));
+      EXPECT_EQ(sampler.percentile(0.5), reference.percentile(0.5));
+    }
+  }
+  EXPECT_EQ(sampler.percentile(0.99), reference.percentile(0.99));
+}
+
 TEST(Histogram, Binning) {
   Histogram h(0.0, 10.0, 10);
   h.add(-1.0);
