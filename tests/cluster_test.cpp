@@ -5,11 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
 #include "model/optimize.hpp"
+#include "obs/decision_log.hpp"
 #include "trace/generator.hpp"
 #include "trace/profile.hpp"
 
@@ -384,6 +390,150 @@ TEST(Improvement, DegenerateStretchesYieldZeroNotInfOrNan) {
   EXPECT_DOUBLE_EQ(improvement(nan, ok), 0.0);
   EXPECT_DOUBLE_EQ(improvement(inf, ok), 0.0);
   EXPECT_TRUE(std::isfinite(improvement(ok, inf)));
+}
+
+// --- layer inertness: a model layer at a setting that never acts ---
+
+/// Decision-log CSV with the opt-in gray columns (slow_penalty, hedged)
+/// dropped: the slow-health and hedge layers switch them on, so only the
+/// shared columns can be compared with an all-off run. Every dropped
+/// `hedged` cell must read 0 — a layer that never acts hedges nothing.
+std::string shared_decision_columns(const obs::DecisionLog& log) {
+  std::ostringstream csv;
+  log.write_csv(csv);
+  if (!log.gray_columns()) return csv.str();
+  std::istringstream lines(csv.str());
+  std::string line, out;
+  bool header = true;
+  while (std::getline(lines, line)) {
+    std::vector<std::string> cells;
+    std::size_t start = 0;
+    // Split the first 13 fields; the candidate list stays one cell.
+    for (int i = 0; i < 13; ++i) {
+      const std::size_t comma = line.find(',', start);
+      cells.push_back(line.substr(start, comma - start));
+      start = comma + 1;
+    }
+    cells.push_back(line.substr(start));
+    if (!header) {
+      EXPECT_EQ(cells[12], "0") << line;
+    }
+    header = false;
+    cells.erase(cells.begin() + 11, cells.begin() + 13);
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      out += (i > 0 ? "," : "") + cells[i];
+    out += '\n';
+  }
+  return out;
+}
+
+void expect_same_summary(const MetricsSummary& a, const MetricsSummary& b,
+                         const std::string& layer) {
+#define WSCHED_SAME(field) \
+  EXPECT_EQ(std::memcmp(&a.field, &b.field, sizeof a.field), 0) \
+      << layer << ": " #field " " << a.field << " vs " << b.field
+  WSCHED_SAME(completed);
+  WSCHED_SAME(completed_static);
+  WSCHED_SAME(completed_dynamic);
+  WSCHED_SAME(stretch);
+  WSCHED_SAME(stretch_static);
+  WSCHED_SAME(stretch_dynamic);
+  WSCHED_SAME(mean_response_s);
+  WSCHED_SAME(mean_response_static_s);
+  WSCHED_SAME(mean_response_dynamic_s);
+  WSCHED_SAME(p50_response_s);
+  WSCHED_SAME(p95_response_s);
+  WSCHED_SAME(p99_response_s);
+  WSCHED_SAME(p50_response_static_s);
+  WSCHED_SAME(p95_response_static_s);
+  WSCHED_SAME(p99_response_static_s);
+  WSCHED_SAME(p50_response_dynamic_s);
+  WSCHED_SAME(p95_response_dynamic_s);
+  WSCHED_SAME(p99_response_dynamic_s);
+  WSCHED_SAME(max_stretch);
+  WSCHED_SAME(completed_disrupted);
+  WSCHED_SAME(stretch_disrupted);
+  WSCHED_SAME(completed_tail);
+  WSCHED_SAME(stretch_tail);
+  WSCHED_SAME(p95_stretch);
+  WSCHED_SAME(p95_stretch_static);
+  WSCHED_SAME(p95_stretch_dynamic);
+  WSCHED_SAME(completed_in_slo);
+  WSCHED_SAME(slo_attainment);
+  WSCHED_SAME(slo_attainment_static);
+  WSCHED_SAME(slo_attainment_dynamic);
+#undef WSCHED_SAME
+  static_assert(sizeof(MetricsSummary) == 30 * 8,
+                "a MetricsSummary field was added: compare it above");
+}
+
+TEST(LayerInertness, NeverActingLayerReproducesAllOff) {
+  // Each model layer switched on at a setting where it never acts must
+  // leave the run's decision log (byte for byte) and every MetricsSummary
+  // field (bit for bit) exactly as the all-off run has them. Layers may
+  // add their own timer events, so event counts are not compared.
+  struct Row {
+    const char* layer;
+    std::function<void(ExperimentSpec&)> arm;
+  };
+  const std::vector<Row> rows = {
+      {"hedge",
+       [](ExperimentSpec& s) {
+         s.hedge.enabled = true;
+         s.hedge.delay_s = 1e6;  // no request lives that long
+       }},
+      {"fault",
+       [](ExperimentSpec& s) {
+         s.fault.enabled = true;
+         // Scripted crash and degrade long after the last arrival.
+         s.fault.script.push_back({from_seconds(s.duration_s + 1000.0), 1,
+                                   fault::FaultKind::kCrash, 1.0, 1.0});
+         s.fault.script.push_back({from_seconds(s.duration_s + 1000.0), 2,
+                                   fault::FaultKind::kDegrade, 0.5, 0.5});
+       }},
+      {"overload",
+       [](ExperimentSpec& s) {
+         s.overload.deadline.static_s = 1e6;
+         s.overload.deadline.dynamic_s = 1e6;
+         s.overload.admission.policy = overload::AdmissionPolicy::kQueueDepth;
+         s.overload.admission.max_queue = 1e9;
+         s.overload.breaker.enabled = true;
+         s.overload.saturation.enabled = true;
+         s.overload.saturation.enter_queue = 1e9;
+       }},
+      {"slow-health",
+       [](ExperimentSpec& s) {
+         s.slow_health.enabled = true;
+         s.slow_health.degrade_ratio = 1e9;  // no node is ever an outlier
+       }},
+  };
+  for (const SchedulerKind kind : {SchedulerKind::kMs, SchedulerKind::kFlat}) {
+    obs::DecisionLog off_log;
+    ExperimentSpec off = small_spec(kind);
+    off.observer.decisions = &off_log;
+    const ExperimentResult base = run_experiment(off);
+    const std::string base_log = shared_decision_columns(off_log);
+    ASSERT_GT(off_log.size(), 100u);
+    for (const Row& row : rows) {
+      const std::string name = std::string(row.layer) + "/" + to_string(kind);
+      obs::DecisionLog log;
+      ExperimentSpec on = small_spec(kind);
+      row.arm(on);
+      on.observer.decisions = &log;
+      const ExperimentResult result = run_experiment(on);
+      EXPECT_EQ(shared_decision_columns(log), base_log) << name;
+      expect_same_summary(base.run.metrics, result.run.metrics, name);
+      EXPECT_EQ(result.run.submitted, base.run.submitted) << name;
+      EXPECT_EQ(result.run.completed, base.run.completed) << name;
+      EXPECT_EQ(result.run.timeouts + result.run.shed + result.run.abandoned,
+                0u)
+          << name;
+      EXPECT_EQ(result.run.node_crashes, 0u) << name;
+      EXPECT_EQ(result.run.hedges_launched, 0u) << name;
+      EXPECT_EQ(result.run.breaker_trips, 0u) << name;
+      EXPECT_EQ(result.run.slow_degraded, 0u) << name;
+    }
+  }
 }
 
 }  // namespace
