@@ -54,10 +54,7 @@ std::vector<Flag> shared_flags(BenchCli& c) {
       flag("exemplars", c.obs.exemplars, "exemplars per request class"),
       {"log", "diagnostics verbosity off|warn|info|debug (or WSCHED_LOG)",
        [](const std::string& v) {
-         const obs::LogLevel level = obs::parse_log_level(v);
-         if (level == obs::LogLevel::kOff && v != "off" && v != "0")
-           throw std::invalid_argument("expected off|warn|info|debug");
-         obs::set_log_level(level);
+         obs::set_log_level(obs::parse_log_level(v));
        }},
       flag("ctrl", ctl.enabled, "self-tuning control plane (w/r, theta'_2)"),
       flag("slow-health", sh.enabled, "latency watchdog, default settings"),
@@ -149,10 +146,10 @@ BenchCli::BenchCli(int argc, const char* const* argv,
   // SweepRun::failures instead of aborting a long sweep on one bad
   // configuration; library callers keep fail-fast semantics by default.
   options.quarantine = true;
-  obs::init_log_from_env();  // --log overrides
   std::vector<Flag> table = shared_flags(*this);
   for (Flag& entry : bench_flags) table.push_back(std::move(entry));
   try {
+    obs::init_log_from_env();  // --log overrides
     parse_flags(CliArgs(argc, argv), table);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "bench",
@@ -251,7 +248,19 @@ std::optional<SweepRun> run_bench(const SweepSpec& spec, const BenchCli& cli,
     };
   }
 
-  SweepRun run = run_sweep(spec, cli.options, wrapped);
+  // Bad input (a config the simulator rejects, an obs artifact that cannot
+  // be written) ends the bench: one line, exit 2. Runaway-guard trips and
+  // other run failures are quarantined per point instead.
+  SweepRun run;
+  try {
+    run = run_sweep(spec, cli.options, wrapped);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "invalid configuration: %s\n", e.what());
+    std::exit(2);
+  } catch (const ArtifactWriteError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
   for (const SweepFailure& failure : run.failures)
     std::fprintf(stderr, "quarantined point %zu (%s): %s\n", failure.index,
                  failure.id.c_str(), failure.error.c_str());

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "util/artifact_writer.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -124,6 +125,10 @@ SweepRun run_sweep(const SweepSpec& spec, const SweepOptions& options,
     if (options.quarantine) {
       try {
         row.merge(eval(run.points[i]));
+      } catch (const std::invalid_argument&) {
+        throw;  // bad input, not a broken point
+      } catch (const ArtifactWriteError&) {
+        throw;
       } catch (const std::exception& e) {
         failed[i] = 1;
         errors[i] = e.what();

@@ -108,7 +108,9 @@ struct SweepOptions {
   /// Quarantine mode: a point whose evaluation throws (e.g. an
   /// EngineGuardError from a runaway configuration) is recorded in
   /// SweepRun::failures and excluded from the rows instead of aborting the
-  /// whole sweep. Off by default: exceptions propagate.
+  /// whole sweep. Off by default: exceptions propagate. Bad input — a
+  /// config-validation std::invalid_argument or an ArtifactWriteError —
+  /// always propagates.
   bool quarantine = false;
 };
 

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace wsched::obs {
@@ -31,7 +33,9 @@ LogLevel parse_log_level(const std::string& text) {
   if (text == "warn" || text == "1") return LogLevel::kWarn;
   if (text == "info" || text == "2") return LogLevel::kInfo;
   if (text == "debug" || text == "3") return LogLevel::kDebug;
-  return LogLevel::kOff;
+  if (text == "off" || text == "0") return LogLevel::kOff;
+  throw std::invalid_argument("expected off|warn|info|debug, got '" + text +
+                              "'");
 }
 
 void set_log_level(LogLevel level) {
@@ -66,8 +70,13 @@ void logf(LogLevel level, const char* subsystem, const char* format, ...) {
 }
 
 void init_log_from_env() {
-  if (const char* env = std::getenv("WSCHED_LOG"))
+  const char* env = std::getenv("WSCHED_LOG");
+  if (env == nullptr) return;
+  try {
     set_log_level(parse_log_level(env));
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("WSCHED_LOG: ") + e.what());
+  }
 }
 
 }  // namespace wsched::obs

@@ -19,7 +19,8 @@ namespace wsched::obs {
 enum class LogLevel : int { kOff = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
 
 const char* to_string(LogLevel level);
-/// Parses "off|warn|info|debug" (also "0".."3"); anything else -> kOff.
+/// Parses "off|warn|info|debug" (also "0".."3"); anything else throws
+/// std::invalid_argument.
 LogLevel parse_log_level(const std::string& text);
 
 void set_log_level(LogLevel level);
@@ -41,7 +42,8 @@ void logf(LogLevel level, const char* subsystem, const char* format, ...)
     ;
 
 /// Reads WSCHED_LOG once and applies it; called by BenchCli. Explicit
-/// set_log_level() calls afterwards still win.
+/// set_log_level() calls afterwards still win. An unparsable value throws
+/// std::invalid_argument naming the variable.
 void init_log_from_env();
 
 namespace detail {

@@ -120,11 +120,11 @@ void write_artifact_file(const std::string& path, const char* what,
                          const std::function<void(std::ostream&)>& write) {
   std::ofstream out(path, std::ios::binary);
   if (!out)
-    throw std::runtime_error(std::string("cannot open ") + what + " " + path);
+    throw ArtifactWriteError(std::string("cannot open ") + what + " " + path);
   write(out);
   out.close();
   if (!out)
-    throw std::runtime_error(std::string("failed writing ") + what + " " +
+    throw ArtifactWriteError(std::string("failed writing ") + what + " " +
                              path);
 }
 

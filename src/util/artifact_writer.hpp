@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -108,8 +109,15 @@ class ArtifactWriter {
   std::string buf_;
 };
 
+/// An artifact that could not be written: bad input (an unwritable path),
+/// never a simulation failure, so sweeps do not quarantine it.
+class ArtifactWriteError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Writes one artifact file: opens `path`, runs `write` on the stream and
-/// closes it. Throws std::runtime_error naming `what` and `path` when the
+/// closes it. Throws ArtifactWriteError naming `what` and `path` when the
 /// open fails or when any write, the final flush included, did not reach
 /// the file (a full disk must not leave a silently truncated artifact).
 void write_artifact_file(const std::string& path, const char* what,
