@@ -70,8 +70,6 @@ class MetricsCollector {
 
   MetricsSummary summary() const;
 
-  const RunningStats& stretch_stats() const { return stretch_all_; }
-
   /// Enables the tail window: requests with cluster_arrival >= `start`
   /// additionally feed the stretch_tail aggregate.
   void set_tail_start(Time start) {

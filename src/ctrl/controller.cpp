@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/run.hpp"
 #include "model/optimize.hpp"
 #include "model/queueing.hpp"
+#include "obs/log.hpp"
 
 namespace wsched::ctrl {
 
@@ -87,6 +89,200 @@ Actions ControlLoop::plan(const Telemetry& telemetry,
     }
   }
   return actions;
+}
+
+void ControlLoop::attach(core::ClusterRun& run) {
+  run_ = &run;
+  EstimatorConfig est;
+  est.alpha = config_.estimate_alpha;
+  est.initial_w = config_.initial_w;
+  est.initial_r = run.config().reservation.initial_r;
+  estimator_.emplace(est);
+  powered_ = powered_low_ = total_;
+  core::ClusterView& view = run.view();
+  view.ctrl_active = true;
+  if (config_.use_estimated_w) view.ctrl_w = estimator_->w_ref();
+  if (config_.autoscale) {
+    powered_state_.assign(static_cast<std::size_t>(total_), 1);
+    view.powered = &powered_state_;
+  }
+  // The slew-limited retune owns theta'_2; the unslewed periodic update
+  // would stomp it.
+  if (config_.tune_reservation) run.hand_off_reservation_tuning();
+  if (obs::TraceSink* tracer = run.tracer())
+    tracer->name_thread(run.cluster_pid(), obs::kLaneCtrl, "ctrl");
+}
+
+Time ControlLoop::tick_period() const {
+  return from_seconds(config_.interval_s);
+}
+
+void ControlLoop::on_arrival(sim::Job&) { estimator_->on_arrival(); }
+
+void ControlLoop::on_completed(const sim::Job& job, int, Time) {
+  // The OS model consumed exactly the record's demand and CPU share, so
+  // they are the finished request's ground truth (what a real server
+  // reads from rusage at response time).
+  estimator_->on_completion(job.request.is_dynamic(),
+                            to_seconds(job.request.service_demand),
+                            job.request.cpu_fraction);
+}
+
+void ControlLoop::tick() {
+  core::ClusterRun& run = *run_;
+  core::ClusterView& view = run.view();
+  const Time now = run.engine().now();
+  Telemetry telemetry;
+  telemetry.now = now;
+  telemetry.powered = powered_;
+  telemetry.masters = view.m;
+  telemetry.a_hat = run.reservation().a_hat_live();
+  const core::LoadVec& seen =
+      view.stale != nullptr ? view.stale->seen_by(0) : run.monitor().all();
+  telemetry.busy.reserve(static_cast<std::size_t>(powered_));
+  for (int n = 0; n < powered_; ++n) {
+    const core::LoadInfo info = seen[static_cast<std::size_t>(n)];
+    telemetry.busy.push_back(
+        std::max(1.0 - info.cpu_idle_ratio, 1.0 - info.disk_avail_ratio));
+  }
+  const Actions actions = plan(telemetry, *estimator_);
+  obs::TraceSink* tracer = run.tracer();
+
+  if (actions.retune) {
+    run.reservation().retune(actions.a, actions.r, actions.slew);
+    ++retunes_;
+    if (tracer != nullptr)
+      tracer->instant(obs::Category::kCtrl, "retune", run.cluster_pid(),
+                      obs::kLaneCtrl, now,
+                      {{"theta", run.reservation().theta_limit()},
+                       {"w_hat", estimator_->w_hat()},
+                       {"r_hat", actions.r},
+                       {"a_hat", actions.a}});
+  }
+  bool membership_dirty = false;
+  if (actions.scale == ScaleAction::kUp && powered_ < total_) {
+    scale_up(now);
+    membership_dirty = true;
+  } else if (actions.scale == ScaleAction::kDown &&
+             powered_ - 1 >= view.m && powered_ - 1 >= config_.min_powered) {
+    scale_down(now);
+    membership_dirty = true;
+  }
+  if (actions.masters_target != view.m) {
+    view.m = actions.masters_target;
+    ++retargets_;
+    membership_dirty = true;
+    if (tracer != nullptr)
+      tracer->instant(obs::Category::kCtrl, "retarget", run.cluster_pid(),
+                      obs::kLaneCtrl, now, {{"m", view.m}});
+    obs::logf(obs::LogLevel::kInfo, "ctrl", "t=%.3fs retarget: m -> %d",
+              to_seconds(now), view.m);
+  }
+  if (membership_dirty)
+    // Theorem 1 re-solves immediately on a cluster-shape change (the
+    // cluster changed, not the estimate) — same rule as failover.
+    run.reservation().set_membership(powered_, view.m);
+}
+
+void ControlLoop::account_energy(Time now) {
+  energy_node_s_ +=
+      static_cast<double>(powered_) * to_seconds(now - energy_mark_);
+  energy_mark_ = now;
+}
+
+void ControlLoop::scale_up(Time now) {
+  const int woken = powered_;
+  account_energy(now);
+  run_->node(woken).power_up();
+  powered_state_[static_cast<std::size_t>(woken)] = 1;
+  ++powered_;
+  ++scale_ups_;
+  if (obs::TraceSink* tracer = run_->tracer())
+    tracer->instant(obs::Category::kCtrl, "scale-up", run_->cluster_pid(),
+                    obs::kLaneCtrl, now,
+                    {{"node", woken}, {"powered", powered_}});
+  obs::logf(obs::LogLevel::kInfo, "ctrl",
+            "t=%.3fs scale-up: node %d powered (now %d)", to_seconds(now),
+            woken, powered_);
+}
+
+void ControlLoop::scale_down(Time now) {
+  // Powered-prefix invariant: drain the highest powered node, which is
+  // never a master.
+  const int victim = powered_ - 1;
+  account_energy(now);
+  powered_state_[static_cast<std::size_t>(victim)] = 0;
+  --powered_;
+  powered_low_ = std::min(powered_low_, powered_);
+  std::vector<sim::Job> drained = run_->node(victim).power_down();
+  ++scale_downs_;
+  if (obs::TraceSink* tracer = run_->tracer())
+    tracer->instant(
+        obs::Category::kCtrl, "scale-down", run_->cluster_pid(),
+        obs::kLaneCtrl, now,
+        {{"node", victim},
+         {"powered", powered_},
+         {"drained", static_cast<std::uint64_t>(drained.size())}});
+  obs::logf(obs::LogLevel::kInfo, "ctrl",
+            "t=%.3fs scale-down: node %d drained (%zu jobs migrate, now %d "
+            "powered)",
+            to_seconds(now), victim, drained.size(), powered_);
+  run_->node_down(victim);
+  for (sim::Job& job : drained) run_->strand(job, victim, core::Strand::kDrain);
+}
+
+bool ControlLoop::on_stranded(sim::Job& job, int node, core::Strand why) {
+  if (!config_.autoscale) return false;
+  if (why == core::Strand::kLanding) {
+    // Powered down mid-hop (the fault layer is excluded by construction):
+    // re-route, don't burn a failover retry.
+    ++migrations_;
+    run_->route(std::move(job));
+    return true;
+  }
+  if (why != core::Strand::kDrain) return false;
+  // Drained jobs migrate over the remote-dispatch hop, never lost.
+  ++migrations_;
+  const Time now = run_->engine().now();
+  if (obs::SpanRecorder* spans = run_->spans()) {
+    spans->begin_hop(job.id, now);
+    spans->note(job.id, "migrate", now, node);
+  }
+  run_->hop(run_->config().os.remote_cgi_latency, std::move(job), -1);
+  return true;
+}
+
+void ControlLoop::probe(obs::ClusterProbe& sample) const {
+  sample.ctrl_active = true;
+  sample.ctrl_w_hat = estimator_->w_hat();
+  sample.ctrl_r_hat = estimator_->r_hat();
+  sample.ctrl_theta_target = run_->reservation().theta_limit();
+  sample.ctrl_powered = static_cast<double>(powered_);
+  sample.ctrl_m = static_cast<double>(run_->view().m);
+}
+
+void ControlLoop::publish(core::RunResult& result,
+                          obs::CounterRegistry* counters) const {
+  result.ctrl_enabled = true;
+  result.ctrl_retunes = retunes_;
+  result.ctrl_scale_ups = scale_ups_;
+  result.ctrl_scale_downs = scale_downs_;
+  result.ctrl_migrations = migrations_;
+  result.ctrl_retargets = retargets_;
+  result.ctrl_w_hat = estimator_->w_hat();
+  result.ctrl_r_hat = estimator_->r_hat();
+  result.powered_min = powered_low_;
+  if (config_.autoscale)
+    result.energy_node_s =
+        energy_node_s_ +
+        static_cast<double>(powered_) *
+            to_seconds(run_->engine().now() - energy_mark_);
+  if (counters == nullptr) return;
+  *counters->handle("ctrl.retunes") += retunes_;
+  *counters->handle("ctrl.scale_ups") += scale_ups_;
+  *counters->handle("ctrl.scale_downs") += scale_downs_;
+  *counters->handle("ctrl.migrations") += migrations_;
+  *counters->handle("ctrl.retargets") += retargets_;
 }
 
 }  // namespace wsched::ctrl

@@ -12,11 +12,18 @@
 // and the loop is trivially unit-testable.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "core/layer.hpp"
 #include "ctrl/autoscaler.hpp"
 #include "ctrl/estimator.hpp"
 #include "util/time.hpp"
+
+namespace wsched::core {
+class ClusterRun;
+}
 
 namespace wsched::ctrl {
 
@@ -77,7 +84,7 @@ struct Actions {
   int masters_target = 0;
 };
 
-class ControlLoop {
+class ControlLoop : public core::Layer {
  public:
   ControlLoop(const CtrlConfig& config, int total_nodes);
 
@@ -86,7 +93,28 @@ class ControlLoop {
 
   const Autoscaler& autoscaler() const { return scaler_; }
 
+  /// As a cluster-run layer the loop owns the online estimator, the power
+  /// state and the energy account, and executes its own plans every
+  /// control interval. Telemetry comes from the front-end master's stale
+  /// report feed under the net model (the controller sees exactly what
+  /// crossed the wire), from the load monitor otherwise.
+  void attach(core::ClusterRun& run);
+  Time tick_period() const override;
+  void tick() override;
+  void on_arrival(sim::Job& job) override;
+  void on_completed(const sim::Job& job, int node, Time at) override;
+  /// Drained and powered-down-on-landing jobs migrate; nothing is lost.
+  bool on_stranded(sim::Job& job, int node, core::Strand why) override;
+  void probe(obs::ClusterProbe& sample) const override;
+  void publish(core::RunResult& result,
+               obs::CounterRegistry* counters) const override;
+
  private:
+  void scale_up(Time now);
+  void scale_down(Time now);
+  /// Closes the open energy window at `now` (powered node-seconds).
+  void account_energy(Time now);
+
   /// Theorem 1 master count for the estimated workload on the currently
   /// powered nodes; load-proportional fallback when no stable plan exists.
   int masters_for(const Telemetry& telemetry,
@@ -97,6 +125,20 @@ class ControlLoop {
   Autoscaler scaler_;
   Time last_retarget_ = 0;
   bool retargeted_once_ = false;
+
+  // Layer state (attach()).
+  core::ClusterRun* run_ = nullptr;
+  std::optional<ParamEstimator> estimator_;
+  std::vector<char> powered_state_;  ///< autoscaling only
+  int powered_ = 0;
+  int powered_low_ = 0;
+  double energy_node_s_ = 0.0;  ///< powered node-seconds, closed windows
+  Time energy_mark_ = 0;        ///< start of the open window
+  std::uint64_t retunes_ = 0;
+  std::uint64_t scale_ups_ = 0;
+  std::uint64_t scale_downs_ = 0;
+  std::uint64_t migrations_ = 0;
+  std::uint64_t retargets_ = 0;
 };
 
 }  // namespace wsched::ctrl

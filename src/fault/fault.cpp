@@ -122,7 +122,6 @@ void FaultInjector::recover_node(int node) {
                     engine_.now());
   obs::logf(obs::LogLevel::kInfo, "fault", "t=%.3fs node %d recovered",
             to_seconds(engine_.now()), node);
-  if (on_recover_) on_recover_(node);
 }
 
 void FaultInjector::schedule_next_failure(int node) {

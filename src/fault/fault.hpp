@@ -113,7 +113,6 @@ class FaultInjector {
  public:
   /// Fires after the node is crashed; `dropped` is its lost in-flight work.
   using CrashFn = std::function<void(int node, std::vector<sim::Job> dropped)>;
-  using RecoverFn = std::function<void(int node)>;
 
   /// `initial_masters` = m under the static role convention (used only to
   /// aim stochastic faults when fail_masters/fail_slaves differ).
@@ -128,7 +127,6 @@ class FaultInjector {
       std::function<void(int node, double extra_loss, double latency_factor)>;
 
   void set_on_crash(CrashFn fn) { on_crash_ = std::move(fn); }
-  void set_on_recover(RecoverFn fn) { on_recover_ = std::move(fn); }
   void set_on_net_degrade(NetDegradeFn fn) {
     on_net_degrade_ = std::move(fn);
   }
@@ -142,7 +140,6 @@ class FaultInjector {
   void start();
 
   std::uint64_t crashes() const { return crashes_; }
-  int down_count() const { return down_count_; }
   bool any_down() const { return down_count_ > 0; }
 
   /// Fail-slow ledger: episodes opened, and node-seconds spent degraded
@@ -188,7 +185,6 @@ class FaultInjector {
   int down_count_ = 0;
   std::uint64_t crashes_ = 0;
   CrashFn on_crash_;
-  RecoverFn on_recover_;
   NetDegradeFn on_net_degrade_;
   obs::TraceSink* trace_ = nullptr;
 };

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/run.hpp"
+#include "obs/log.hpp"
+
 namespace wsched::fault {
 
 const char* to_string(NodeHealth health) {
@@ -116,7 +119,18 @@ void SlowHealthMonitor::transition(int node, NodeHealth to) {
     --degraded_count_;
     scale_[idx] = 1.0;
   }
-  if (on_transition_) on_transition_(node, from, to);
+  if (run_ == nullptr) return;
+  // Attached to a run: the transition lands on the node's fault lane.
+  const Time now = run_->engine().now();
+  if (obs::TraceSink* tracer = run_->tracer())
+    tracer->instant(obs::Category::kFault, "slow-health", node,
+                    obs::kLaneFault, now,
+                    {{"from", to_string(from)},
+                     {"to", to_string(to)},
+                     {"ewma", ewma(node)}});
+  obs::logf(obs::LogLevel::kInfo, "slow-health",
+            "t=%.3fs node %d %s -> %s (stretch ewma %.2f)", to_seconds(now),
+            node, to_string(from), to_string(to), ewma(node));
 }
 
 void SlowHealthMonitor::check_now(const std::vector<sim::Node*>& nodes) {
@@ -148,6 +162,42 @@ void SlowHealthMonitor::check_now(const std::vector<sim::Node*>& nodes) {
         transition(node, NodeHealth::kHealthy);
     }
   }
+}
+
+void SlowHealthMonitor::attach(core::ClusterRun& run) {
+  run_ = &run;
+  core::ClusterView& view = run.view();
+  view.slow_health = &state_;
+  view.slow_scale = &scale_;
+  view.slow_exclude = config_.exclude;
+  // The slow_penalty / hedged decision-log columns are opt-in so gray-off
+  // logs keep their exact bytes.
+  if (view.decisions != nullptr) view.decisions->enable_gray_columns();
+}
+
+void SlowHealthMonitor::start() {
+  // Watchdog rounds ride the load-sampling cadence unless a dedicated
+  // period is configured — no new clock, no RNG, fully deterministic.
+  run_->every(config_.check_period_s > 0.0
+                  ? from_seconds(config_.check_period_s)
+                  : run_->config().load_sample_period,
+              this);
+}
+
+void SlowHealthMonitor::tick() { check_now(run_->nodes()); }
+
+void SlowHealthMonitor::on_completed(const sim::Job& job, int node, Time at) {
+  // The node that served the request is charged its normalized latency.
+  on_completion(node, at - job.cluster_arrival, job.request.service_demand);
+}
+
+void SlowHealthMonitor::publish(core::RunResult& result,
+                                obs::CounterRegistry* counters) const {
+  result.slow_degraded = degraded_;
+  result.slow_recovered = recovered_;
+  if (counters == nullptr) return;
+  *counters->handle("slow_health.degraded") += degraded_;
+  *counters->handle("slow_health.recovered") += recovered_;
 }
 
 }  // namespace wsched::fault

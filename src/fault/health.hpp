@@ -16,10 +16,15 @@
 #include <functional>
 #include <vector>
 
+#include "core/layer.hpp"
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
+
+namespace wsched::core {
+class ClusterRun;
+}
 
 namespace wsched::fault {
 
@@ -115,11 +120,8 @@ struct SlowHealthConfig {
 /// uniform overload all nodes slow down together and nobody is flagged,
 /// but a limping node stands out at any load level. Deterministic — no
 /// RNG, and the period rides the existing sampling cadence.
-class SlowHealthMonitor {
+class SlowHealthMonitor : public core::Layer {
  public:
-  using TransitionFn =
-      std::function<void(int node, NodeHealth from, NodeHealth to)>;
-
   SlowHealthMonitor(int nodes, const SlowHealthConfig& config);
 
   /// Feeds one completion: `sojourn` is time-on-cluster, `demand` the
@@ -128,7 +130,17 @@ class SlowHealthMonitor {
 
   /// A node that crashed or powered down loses its history (its EWMA
   /// describes a machine that no longer exists) and its degraded flag.
-  void on_node_down(int node);
+  void on_node_down(int node) override;
+
+  /// As a cluster-run layer: feeds the RSRC slowness penalty through the
+  /// routing view, samples every counted completion, and runs a watchdog
+  /// round on the load-sampling cadence unless check_period_s is set.
+  void attach(core::ClusterRun& run);
+  void start() override;
+  void tick() override;
+  void on_completed(const sim::Job& job, int node, Time at) override;
+  void publish(core::RunResult& result,
+               obs::CounterRegistry* counters) const override;
 
   /// Runs one watchdog round over the given liveness view.
   void check_now(const std::vector<sim::Node*>& nodes);
@@ -146,11 +158,10 @@ class SlowHealthMonitor {
   std::uint64_t recover_transitions() const { return recovered_; }
   int degraded_count() const { return degraded_count_; }
 
-  void set_on_transition(TransitionFn fn) { on_transition_ = std::move(fn); }
-
  private:
   void transition(int node, NodeHealth to);
 
+  core::ClusterRun* run_ = nullptr;
   SlowHealthConfig config_;
   std::vector<Ewma> ewma_;
   std::vector<int> samples_;
@@ -160,7 +171,6 @@ class SlowHealthMonitor {
   int degraded_count_ = 0;
   std::uint64_t degraded_ = 0;
   std::uint64_t recovered_ = 0;
-  TransitionFn on_transition_;
 };
 
 }  // namespace wsched::fault

@@ -35,9 +35,6 @@ class Membership {
   bool is_master(int node) const {
     return master_[static_cast<std::size_t>(node)];
   }
-  bool is_available(int node) const {
-    return alive_[static_cast<std::size_t>(node)];
-  }
 
   /// Healthy masters / healthy slaves / all healthy nodes, ascending by id.
   /// With every node healthy these are [0, m), [m, p) and [0, p) — exactly

@@ -141,7 +141,6 @@ void NetHealth::check_now() {
     if (config_.quorum > 0 && visible_count(n) < config_.quorum) {
       claims_[ni] = false;
       ++stepdowns_;
-      obs::bump(hooks_.stepdowns);
       if (hooks_.trace != nullptr)
         hooks_.trace->instant(obs::Category::kNet, "step-down",
                               hooks_.cluster_pid, obs::kLaneNet, engine_.now(),
@@ -159,7 +158,6 @@ void NetHealth::check_now() {
   // sides both believe they hold the same mastership.
   if (claimant_count() > config_.masters) {
     ++split_brain_rounds_;
-    obs::bump(hooks_.split_brain_rounds);
     if (hooks_.trace != nullptr)
       hooks_.trace->instant(obs::Category::kNet, "split-brain",
                             hooks_.cluster_pid, obs::kLaneNet, engine_.now(),

@@ -30,7 +30,6 @@
 
 #include "fault/health.hpp"
 #include "net/network.hpp"
-#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
@@ -59,8 +58,6 @@ class NetHealth {
   struct Hooks {
     obs::TraceSink* trace = nullptr;
     int cluster_pid = 0;
-    std::uint64_t* stepdowns = nullptr;
-    std::uint64_t* split_brain_rounds = nullptr;
   };
 
   using TransitionFn =
@@ -98,9 +95,6 @@ class NetHealth {
   // --- master-role claims ---
   void set_claim(int node, bool claims) {
     claims_[static_cast<std::size_t>(node)] = claims;
-  }
-  bool claims_master(int node) const {
-    return claims_[static_cast<std::size_t>(node)];
   }
   /// Live nodes currently claiming the master role.
   int claimant_count() const;

@@ -1,0 +1,181 @@
+// The network fault model as a cluster-run layer (see net::NetworkParams):
+// the remote-dispatch hop becomes an at-least-once RPC over a lossy,
+// partitionable wire, and dispatch knowledge refreshes only from in-band
+// load reports that were actually delivered (the staleness-aware RSRC
+// reads their age).
+#include <cstdint>
+#include <optional>
+#include <utility>
+
+#include "core/run.hpp"
+#include "net/network.hpp"
+#include "net/rpc.hpp"
+#include "net/stale_view.hpp"
+#include "obs/log.hpp"
+
+namespace wsched::net {
+namespace {
+
+class NetLayer final : public core::Layer {
+ public:
+  NetLayer(core::ClusterRun& run)
+      : run_(run),
+        network_(run.engine(), run.config().net, run.config().p,
+                 run.config().seed),
+        stale_(run.config().p) {
+    const NetworkParams& params = run.config().net;
+    network_.set_hooks({run.tracer(), run.cluster_pid()});
+    Rpc::Options options;
+    options.timeout = from_seconds(params.rpc_timeout_s);
+    options.max_attempts = params.rpc_max_attempts;
+    options.backoff = params.rpc_backoff;
+    rpc_.emplace(run.engine(), network_, options, run.config().seed);
+    rpc_->set_hooks({run.tracer(), run.spans(), run.cluster_pid()});
+    core::ClusterView& view = run.view();
+    view.network = &network_;
+    view.stale = &stale_;
+    view.stale_penalty_per_s = params.stale_penalty_per_s;
+    view.stale_max_age_s = params.stale_max_age_s;
+    view.stale_fallbacks = &stale_fallbacks_;
+    run.set_transport(this, &network_);
+    // Named only when the net model is on: naming the lane in a net-off run
+    // would change the trace bytes.
+    if (obs::TraceSink* tracer = run.tracer())
+      tracer->name_thread(run.cluster_pid(), obs::kLaneNet, "net");
+  }
+
+  void start() override {
+    network_.start();
+    const double interval = run_.config().net.load_report_interval_s;
+    run_.every(interval > 0 ? from_seconds(interval)
+                            : run_.config().load_sample_period,
+               this);
+  }
+
+  /// In-band load reports: every live node reports its last monitor
+  /// sample to each (current) master over the control plane.
+  void tick() override {
+    // The receiver's dispatch knowledge refreshes only from reports that
+    // were actually delivered — lost or partitioned reports age the view,
+    // which the RSRC staleness penalty and the two-choices fallback read.
+    const Time origin = run_.monitor().last_sample_time();
+    const std::vector<int>* masters =
+        run_.view().membership != nullptr ? &run_.view().membership->masters()
+                                          : nullptr;
+    const std::size_t receivers =
+        masters != nullptr ? masters->size()
+                           : static_cast<std::size_t>(run_.config().m);
+    for (int n = 0; n < run_.config().p; ++n) {
+      if (!run_.node(n).alive()) continue;
+      const core::LoadInfo info = run_.monitor().info(static_cast<std::size_t>(n));
+      for (std::size_t ri = 0; ri < receivers; ++ri) {
+        const int r = masters != nullptr ? (*masters)[ri] : static_cast<int>(ri);
+        if (r == n) {
+          // A master's knowledge of itself never crosses the wire.
+          stale_.apply_report(r, n, info, origin);
+          if (run_.config().use_dispatch_feedback)
+            run_.feedbacks()[static_cast<std::size_t>(r)].on_node_report(
+                static_cast<std::size_t>(n), info);
+          continue;
+        }
+        network_.send(n, r, MsgKind::kControl, [this, n, r, info, origin] {
+          if (!run_.node(r).alive()) return;
+          stale_.apply_report(r, n, info, origin);
+          if (run_.config().use_dispatch_feedback)
+            run_.feedbacks()[static_cast<std::size_t>(r)].on_node_report(
+                static_cast<std::size_t>(n), info);
+          ++reports_;
+        });
+      }
+    }
+  }
+
+  /// The remote-dispatch hop: sampled latency, loss surfacing as RPC
+  /// retransmits, a failover (or, without the fault layer, a timeout) past
+  /// the attempt cap.
+  void carry(sim::Job& job, int node) override {
+    if (obs::SpanRecorder* spans = run_.spans())
+      spans->begin_net(job.id, run_.engine().now());
+    const int receiver = job.receiver;
+    const std::uint64_t id = job.id;
+    rpc_->call(
+        receiver, node,
+        /*on_deliver=*/
+        [this, job, node]() mutable {
+          if (run_.passes_landing(job)) run_.land(std::move(job), node);
+        },
+        /*on_fail=*/
+        [this, job, node]() mutable {
+          if (!run_.passes_landing(job)) return;
+          // Past the attempt cap the fault layer fails the job over; without
+          // it the dispatch is lost on the wire for good and counted as a
+          // timeout — never silently dropped.
+          if (run_.strand(job, node, core::Strand::kWire)) return;
+          run_.sent(node, false);
+          obs::logf(obs::LogLevel::kWarn, "net",
+                    "t=%.3fs job %llu lost on the wire after %d attempts",
+                    to_seconds(run_.engine().now()),
+                    static_cast<unsigned long long>(job.id),
+                    run_.config().net.rpc_max_attempts);
+          run_.settle(job.id, obs::SpanOutcome::kTimeout,
+                      run_.here(obs::kLaneNet), job.attempts);
+        },
+        /*tag=*/id);
+  }
+
+  void probe(obs::ClusterProbe& sample) const override {
+    sample.net_active = true;
+    sample.net_sent = static_cast<double>(network_.sent());
+    sample.net_lost =
+        static_cast<double>(network_.lost() + network_.partition_drops());
+    sample.net_rpc_retries = static_cast<double>(rpc_->retries());
+    sample.net_stale_fallbacks = static_cast<double>(stale_fallbacks_);
+    sample.net_partition_active = network_.partition_active() ? 1.0 : 0.0;
+  }
+
+  void publish(core::RunResult& result,
+                         obs::CounterRegistry* counters) const override {
+    result.net_enabled = true;
+    result.net_sent = network_.sent();
+    result.net_lost = network_.lost() + network_.partition_drops();
+    result.net_duplicates = rpc_->duplicates();
+    result.net_rpc_retries = rpc_->retries();
+    result.net_rpc_failures = rpc_->failures();
+    result.net_reports = reports_;
+    result.net_stale_fallbacks = stale_fallbacks_;
+    result.net_partitions = network_.partitions_seen();
+    if (counters == nullptr) return;
+    // The failover layer (published before this one) wrote the detector's
+    // step-down and split-brain counts.
+    const std::pair<const char*, std::uint64_t> counts[] = {
+        {"net.sent", result.net_sent},
+        {"net.lost", network_.lost()},
+        {"net.partition_drops", network_.partition_drops()},
+        {"net.partitions", result.net_partitions},
+        {"net.duplicates", result.net_duplicates},
+        {"net.rpc_retries", result.net_rpc_retries},
+        {"net.rpc_failures", result.net_rpc_failures},
+        {"net.reports", result.net_reports},
+        {"net.stale_fallbacks", result.net_stale_fallbacks},
+        {"net.stepdowns", result.net_stepdowns},
+        {"net.split_brain_rounds", result.net_split_brain_rounds},
+    };
+    for (const auto& [name, value] : counts) *counters->handle(name) += value;
+  }
+
+ private:
+  core::ClusterRun& run_;
+  Network network_;
+  std::optional<Rpc> rpc_;
+  StaleClusterView stale_;
+  std::uint64_t stale_fallbacks_ = 0;  ///< bumped through the routing view
+  std::uint64_t reports_ = 0;          ///< load reports delivered remotely
+};
+
+}  // namespace
+
+std::unique_ptr<core::Layer> make_net_layer(core::ClusterRun& run) {
+  return std::make_unique<NetLayer>(run);
+}
+
+}  // namespace wsched::net

@@ -1,6 +1,5 @@
 #include "net/network.hpp"
 
-#include "obs/counters.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -176,10 +175,8 @@ void Network::set_node_degradation(int node, double extra_loss,
 bool Network::send(int src, int dst, MsgKind kind,
                    std::function<void()> deliver) {
   ++sent_;
-  obs::bump(hooks_.sent);
   if (!reachable(src, dst)) {
     ++partition_drops_;
-    obs::bump(hooks_.partition_drops);
     return false;
   }
   // With no degraded node the base probability is used untouched, keeping
@@ -193,7 +190,6 @@ bool Network::send(int src, int dst, MsgKind kind,
   }
   if (loss_p > 0.0 && loss_rng_.bernoulli(loss_p)) {
     ++lost_;
-    obs::bump(hooks_.lost);
     if (hooks_.trace != nullptr)
       hooks_.trace->instant(obs::Category::kNet, "drop", hooks_.cluster_pid,
                             obs::kLaneNet, engine_.now(),
@@ -212,7 +208,6 @@ void Network::apply_partition(const std::vector<int>& group_of) {
   group_ = group_of;
   partition_active_ = true;
   ++partitions_seen_;
-  obs::bump(hooks_.partitions);
   // The front end serves from the largest side (lower group id on ties).
   std::vector<int> sizes;
   for (const int g : group_) {
@@ -228,7 +223,6 @@ void Network::apply_partition(const std::vector<int>& group_of) {
         engine_.now(),
         {{"groups", static_cast<std::int64_t>(sizes.size())},
          {"front_group", front_group_}});
-  if (on_partition_change_) on_partition_change_();
 }
 
 void Network::heal_partition() {
@@ -238,7 +232,6 @@ void Network::heal_partition() {
   if (hooks_.trace != nullptr)
     hooks_.trace->instant(obs::Category::kNet, "heal", hooks_.cluster_pid,
                           obs::kLaneNet, engine_.now(), {});
-  if (on_partition_change_) on_partition_change_();
 }
 
 void Network::schedule_random_churn() {

@@ -124,10 +124,6 @@ enum class MsgKind : std::uint8_t {
 struct NetworkHooks {
   obs::TraceSink* trace = nullptr;
   int cluster_pid = 0;
-  std::uint64_t* sent = nullptr;
-  std::uint64_t* lost = nullptr;             ///< random wire loss
-  std::uint64_t* partition_drops = nullptr;  ///< dropped across a partition
-  std::uint64_t* partitions = nullptr;       ///< partition windows opened
 };
 
 class Network {
@@ -136,10 +132,6 @@ class Network {
           std::uint64_t seed);
 
   void set_hooks(const NetworkHooks& hooks) { hooks_ = hooks; }
-  /// Invoked after every partition open/heal (state already updated).
-  void set_on_partition_change(std::function<void()> fn) {
-    on_partition_change_ = std::move(fn);
-  }
 
   /// Schedules the scripted partition windows and random churn; call once
   /// before the run.
@@ -208,7 +200,6 @@ class Network {
   Rng loss_rng_;
   Rng churn_rng_;
   NetworkHooks hooks_;
-  std::function<void()> on_partition_change_;
   bool partition_active_ = false;
   int front_group_ = 0;
   std::vector<int> group_;

@@ -45,7 +45,6 @@ void Rpc::on_data(std::uint64_t id) {
     // A copy already executed here; drop this one and just re-ack so the
     // sender can stop retransmitting.
     ++duplicates_;
-    obs::bump(hooks_.duplicates);
     const auto it = calls_.find(id);
     if (it != calls_.end()) {
       if (hooks_.spans != nullptr && it->second.tag != 0)
@@ -81,7 +80,6 @@ void Rpc::on_timeout(std::uint64_t id, int attempt) {
   if (call.attempt < options_.max_attempts) {
     call.attempt += 1;
     ++retries_;
-    obs::bump(hooks_.retries);
     if (hooks_.spans != nullptr && call.tag != 0)
       hooks_.spans->note(call.tag, "rpc-retransmit", engine_.now(),
                          static_cast<std::uint64_t>(call.attempt));
@@ -103,7 +101,6 @@ void Rpc::on_timeout(std::uint64_t id, int attempt) {
   calls_.erase(it);
   if (delivered) return;
   ++failures_;
-  obs::bump(hooks_.failures);
   if (hooks_.trace != nullptr)
     hooks_.trace->instant(obs::Category::kNet, "rpc-fail", hooks_.cluster_pid,
                           obs::kLaneNet, engine_.now(), {{"call", id}});

@@ -21,7 +21,6 @@
 #include <unordered_set>
 
 #include "net/network.hpp"
-#include "obs/counters.hpp"
 #include "obs/span.hpp"
 #include "overload/backoff.hpp"
 #include "sim/engine.hpp"
@@ -53,9 +52,6 @@ class Rpc {
     obs::TraceSink* trace = nullptr;
     obs::SpanRecorder* spans = nullptr;
     int cluster_pid = 0;
-    std::uint64_t* retries = nullptr;
-    std::uint64_t* failures = nullptr;
-    std::uint64_t* duplicates = nullptr;
   };
 
   Rpc(sim::Engine& engine, Network& network, Options options,

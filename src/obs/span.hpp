@@ -181,7 +181,6 @@ class SpanRecorder {
   }
   /// Largest job id seen + 1 (ids are dense, so this bounds iteration).
   std::size_t request_capacity() const { return reqs_.size(); }
-  std::size_t span_count() const { return pool_.size(); }
 
   /// Folds the ledger into per-class per-phase sums over terminated
   /// requests (in-flight requests are excluded — their decomposition is

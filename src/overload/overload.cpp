@@ -2,28 +2,34 @@
 
 #include <algorithm>
 
+#include "core/run.hpp"
 #include "obs/counters.hpp"
 #include "obs/log.hpp"
 
 namespace wsched::overload {
 
-OverloadController::OverloadController(sim::Engine& engine,
-                                       std::vector<sim::Node*> nodes,
-                                       const OverloadConfig& config,
-                                       std::uint64_t seed)
-    : engine_(engine),
-      nodes_(std::move(nodes)),
+OverloadController::OverloadController(core::ClusterRun& run,
+                                       const OverloadConfig& config)
+    : run_(run),
+      engine_(run.engine()),
+      trace_(run.tracer()),
       config_(config),
       admission_(config.admission),
       saturation_(config.saturation),
-      breakers_(static_cast<int>(nodes_.size()), config.breaker),
+      breakers_(run.config().p, config.breaker),
       breakers_on_(config.breaker.enabled),
-      admission_rng_(seed, 0xAD7115),
-      retry_rng_(seed, 0xB0FF) {}
+      admission_rng_(run.config().seed, 0xAD7115),
+      retry_rng_(run.config().seed, 0xB0FF) {
+  run.view().breakers = breakers_on_ ? &breakers_ : nullptr;
+}
 
 void OverloadController::start() {
-  engine_.schedule_after(from_seconds(config_.signal_period_s),
-                         [this] { on_tick(); });
+  engine_.schedule_call_after(from_seconds(config_.signal_period_s),
+                              &OverloadController::fire_tick, this);
+}
+
+void OverloadController::fire_tick(void* ctx) {
+  static_cast<OverloadController*>(ctx)->on_tick();
 }
 
 void OverloadController::on_tick() {
@@ -31,7 +37,8 @@ void OverloadController::on_tick() {
   double queue_sum = 0.0;
   int alive = 0;
   Time cpu_busy = 0;
-  for (sim::Node* node : nodes_) {
+  const std::vector<sim::Node*>& nodes = run_.nodes();
+  for (sim::Node* node : nodes) {
     const double depth =
         static_cast<double>(node->run_queue_length() +
                             node->disk_queue_length());
@@ -46,7 +53,7 @@ void OverloadController::on_tick() {
   const double dt = to_seconds(now - last_tick_);
   const double util =
       dt > 0.0 ? std::clamp(to_seconds(cpu_busy - last_cpu_busy_) /
-                                (static_cast<double>(nodes_.size()) * dt),
+                                (static_cast<double>(nodes.size()) * dt),
                             0.0, 1.0)
                : 0.0;
   last_tick_ = now;
@@ -58,28 +65,29 @@ void OverloadController::on_tick() {
     const int change = saturation_.on_signal(mean_queue, now);
     if (change != 0) {
       const bool entered = change > 0;
-      if (entered) obs::bump(hooks_.degraded_entries);
-      if (hooks_.trace != nullptr)
-        hooks_.trace->instant(obs::Category::kDispatch,
-                              entered ? "degraded-enter" : "degraded-exit",
-                              hooks_.cluster_pid, obs::kLaneOverload, now,
-                              {{"queue_signal", saturation_.signal()}});
+      if (trace_ != nullptr)
+        trace_->instant(obs::Category::kDispatch,
+                        entered ? "degraded-enter" : "degraded-exit",
+                        run_.cluster_pid(), obs::kLaneOverload, now,
+                        {{"queue_signal", saturation_.signal()}});
       obs::logf(obs::LogLevel::kInfo, "overload",
                 "t=%.3fs %s degraded static-only mode (queue signal %.1f)",
                 to_seconds(now), entered ? "entering" : "leaving",
                 saturation_.signal());
-      if (on_degraded_) on_degraded_(entered);
+      // Degraded static-only mode clamps the reservation: masters stop
+      // accepting dynamic work entirely until the detector restores.
+      run_.reservation().set_degraded(entered);
     }
   }
-  if (hooks_.trace != nullptr) {
-    hooks_.trace->counter(obs::Category::kDispatch, "overload.queue_signal",
-                          hooks_.cluster_pid, now, mean_queue);
-    hooks_.trace->counter(obs::Category::kDispatch, "overload.degraded",
-                          hooks_.cluster_pid, now,
-                          saturation_.degraded() ? 1.0 : 0.0);
+  if (trace_ != nullptr) {
+    trace_->counter(obs::Category::kDispatch, "overload.queue_signal",
+                    run_.cluster_pid(), now, mean_queue);
+    trace_->counter(obs::Category::kDispatch, "overload.degraded",
+                    run_.cluster_pid(), now,
+                    saturation_.degraded() ? 1.0 : 0.0);
   }
-  engine_.schedule_after(from_seconds(config_.signal_period_s),
-                         [this] { on_tick(); });
+  engine_.schedule_call_after(from_seconds(config_.signal_period_s),
+                              &OverloadController::fire_tick, this);
 }
 
 const char* OverloadController::shed_reason(bool dynamic) {
@@ -103,13 +111,21 @@ Time OverloadController::deadline_for(bool dynamic) const {
   return seconds > 0.0 ? from_seconds(seconds) : 0;
 }
 
-void OverloadController::arm_deadline(const sim::Job& job) {
+void OverloadController::on_arrival(sim::Job& job) {
   const Time deadline = deadline_for(job.request.is_dynamic());
   if (deadline <= 0) return;
-  const std::uint64_t id = job.id;
-  live_.emplace(id, TrackedJob{-1, false, job.request.is_dynamic()});
-  engine_.schedule_at(job.cluster_arrival + deadline,
-                      [this, id] { on_deadline(id); });
+  live_.emplace(job.id, TrackedJob{-1, false, job.request.is_dynamic()});
+  run_.hop(deadline, job, kDeadline, this, /*checked=*/false);
+}
+
+void OverloadController::resume(sim::Job& job, int tag) {
+  if (tag == kDeadline) {
+    on_deadline(job.id);
+    return;
+  }
+  // A retry is a fresh admission (the failover layer's outage hold, then
+  // the shed verdict), then a fresh route.
+  if (run_.admit(job)) run_.route(std::move(job));
 }
 
 void OverloadController::on_deadline(std::uint64_t id) {
@@ -117,16 +133,14 @@ void OverloadController::on_deadline(std::uint64_t id) {
   if (it == live_.end()) return;  // already settled
   bool freed = false;
   if (it->second.node >= 0) {
-    sim::Node* node = nodes_[static_cast<std::size_t>(it->second.node)];
-    if (node->alive()) freed = node->abort(id);
+    sim::Node& node = run_.node(it->second.node);
+    if (node.alive()) freed = node.abort(id);
   }
   ++abandoned_;
-  obs::bump(hooks_.abandoned);
-  if (hooks_.trace != nullptr)
-    hooks_.trace->instant(obs::Category::kDispatch, "abandon",
-                          hooks_.cluster_pid, obs::kLaneOverload,
-                          engine_.now(),
-                          {{"job", id}, {"dynamic", it->second.dynamic ? 1 : 0}});
+  if (trace_ != nullptr)
+    trace_->instant(obs::Category::kDispatch, "abandon", run_.cluster_pid(),
+                    obs::kLaneOverload, engine_.now(),
+                    {{"job", id}, {"dynamic", it->second.dynamic ? 1 : 0}});
   obs::logf(obs::LogLevel::kDebug, "overload",
             "t=%.3fs job %llu abandoned past its deadline",
             to_seconds(engine_.now()),
@@ -135,43 +149,96 @@ void OverloadController::on_deadline(std::uint64_t id) {
     live_.erase(it);
   } else {
     // In flight (dispatch hop or retry backoff): the pending event that
-    // holds the job observes the flag via consume_abandoned and drops it.
+    // holds the job observes the flag at its landing check and drops it.
     it->second.abandoned = true;
   }
-  if (on_abandon_) on_abandon_(id);
+  // Abandonment is terminal: the request leaves the system here.
+  run_.settle(id, obs::SpanOutcome::kAbandoned,
+              run_.here(obs::kLaneOverload));
 }
 
-void OverloadController::note_on_node(std::uint64_t id, int node) {
-  if (!config_.deadline.any()) return;
-  const auto it = live_.find(id);
-  if (it != live_.end()) it->second.node = node;
+bool OverloadController::admit(sim::Job& job) {
+  const char* reason = shed_reason(job.request.is_dynamic());
+  if (reason == nullptr) return true;
+  shed_retry(std::move(job), reason);
+  return false;
 }
 
-void OverloadController::note_waiting(std::uint64_t id) {
-  if (!config_.deadline.any()) return;
-  const auto it = live_.find(id);
+void OverloadController::shed_retry(sim::Job job, const char* reason) {
+  const Time now = engine_.now();
+  if (obs::DecisionLog* decisions = run_.view().decisions) {
+    obs::DecisionRecord record;
+    record.at = now;
+    record.dynamic = job.request.is_dynamic();
+    record.receiver = -1;
+    record.chosen = -1;
+    record.remote = false;
+    record.w = -1.0;
+    record.reason = reason;
+    decisions->record(std::move(record));
+  }
+  if (static_cast<int>(job.attempts) >= config_.max_retries) {
+    live_.erase(job.id);
+    ++shed_;
+    if (trace_ != nullptr)
+      trace_->instant(obs::Category::kDispatch, "shed", run_.cluster_pid(),
+                      obs::kLaneOverload, now, {{"job", job.id}});
+    obs::logf(obs::LogLevel::kDebug, "overload",
+              "t=%.3fs job %llu shed for good (%s, %u retries)",
+              to_seconds(now), static_cast<unsigned long long>(job.id),
+              reason, job.attempts);
+    run_.settle(job.id, obs::SpanOutcome::kShed,
+                run_.here(obs::kLaneOverload));
+    return;
+  }
+  ++job.attempts;
+  if (obs::SpanRecorder* spans = run_.spans()) {
+    // Client retry wait is part of getting admitted, so it charges to the
+    // admission phase (not failover backoff).
+    spans->begin_backoff(job.id, now, /*admission=*/true);
+    spans->note(job.id, "retry", now, job.attempts);
+  }
+  ++retries_;
+  if (trace_ != nullptr)
+    trace_->instant(obs::Category::kDispatch, "retry", run_.cluster_pid(),
+                    obs::kLaneOverload, now, {{"job", job.id}});
+  const Time delay = backoff_delay(config_.retry_backoff, job.attempts,
+                                   &retry_rng_);
+  run_.hop(delay, std::move(job), kRetry, this);
+}
+
+void OverloadController::on_wait(const sim::Job& job) {
+  if (!config_.deadline.any() || job.hedge) return;
+  const auto it = live_.find(job.id);
   if (it != live_.end()) it->second.node = -1;
 }
 
-bool OverloadController::consume_abandoned(std::uint64_t id) {
-  if (!config_.deadline.any()) return false;
-  const auto it = live_.find(id);
-  if (it == live_.end() || !it->second.abandoned) return false;
-  live_.erase(it);
-  return true;
+void OverloadController::on_landed(const sim::Job& job, int node) {
+  if (!config_.deadline.any() || job.hedge) return;
+  const auto it = live_.find(job.id);
+  if (it != live_.end()) it->second.node = node;
 }
 
-void OverloadController::forget(std::uint64_t id) {
-  if (!config_.deadline.any()) return;
-  live_.erase(id);
+bool OverloadController::on_land(const sim::Job& job) {
+  if (!config_.deadline.any() || job.hedge) return true;
+  const auto it = live_.find(job.id);
+  if (it == live_.end() || !it->second.abandoned) return true;
+  live_.erase(it);
+  return false;
+}
+
+void OverloadController::on_terminal(std::uint64_t id,
+                                     obs::SpanOutcome why) {
+  if (why == obs::SpanOutcome::kTimeout && config_.deadline.any())
+    live_.erase(id);
 }
 
 bool OverloadController::on_complete(const sim::Job& job, int node,
-                                     Time completion) {
+                                     Time at) {
   if (breakers_on_) breakers_.node(node).note_success();
   if (config_.admission.policy == AdmissionPolicy::kStretchTarget &&
       !job.request.is_dynamic()) {
-    const Time response = std::max<Time>(1, completion - job.cluster_arrival);
+    const Time response = std::max<Time>(1, at - job.cluster_arrival);
     const Time demand = std::max<Time>(1, job.request.service_demand);
     admission_.on_static_completion(static_cast<double>(response) /
                                     static_cast<double>(demand));
@@ -182,35 +249,16 @@ bool OverloadController::on_complete(const sim::Job& job, int node,
   const bool settled = it->second.abandoned;
   live_.erase(it);
   // A completion racing an already-counted abandonment is a zombie; the
-  // caller must not account it a second time.
+  // core must not account it a second time.
   return !settled;
 }
 
-void OverloadController::count_retry(std::uint64_t id) {
-  ++retries_;
-  obs::bump(hooks_.retries);
-  if (hooks_.trace != nullptr)
-    hooks_.trace->instant(obs::Category::kDispatch, "retry",
-                          hooks_.cluster_pid, obs::kLaneOverload,
-                          engine_.now(), {{"job", id}});
-}
-
-void OverloadController::count_shed(std::uint64_t id) {
-  forget(id);
-  ++shed_;
-  obs::bump(hooks_.shed);
-  if (hooks_.trace != nullptr)
-    hooks_.trace->instant(obs::Category::kDispatch, "shed",
-                          hooks_.cluster_pid, obs::kLaneOverload,
-                          engine_.now(), {{"job", id}});
-}
-
-void OverloadController::note_dispatch(int node) {
-  if (breakers_on_) breakers_.node(node).note_dispatch();
-}
-
-void OverloadController::note_dispatch_failure(int node) {
+void OverloadController::on_sent(int node, bool ok) {
   if (!breakers_on_) return;
+  if (ok) {
+    breakers_.node(node).note_dispatch();
+    return;
+  }
   breakers_.node(node).note_failure(engine_.now());
   sync_breaker_trips();
 }
@@ -218,18 +266,25 @@ void OverloadController::note_dispatch_failure(int node) {
 void OverloadController::sync_breaker_trips() {
   const std::uint64_t trips = breakers_.trips();
   if (trips == last_trips_) return;
-  if (hooks_.trace != nullptr)
-    hooks_.trace->instant(obs::Category::kDispatch, "breaker-open",
-                          hooks_.cluster_pid, obs::kLaneOverload,
-                          engine_.now(),
-                          {{"tripped", breakers_.tripped_count()}});
+  if (trace_ != nullptr)
+    trace_->instant(obs::Category::kDispatch, "breaker-open",
+                    run_.cluster_pid(), obs::kLaneOverload, engine_.now(),
+                    {{"tripped", breakers_.tripped_count()}});
   obs::logf(obs::LogLevel::kInfo, "overload",
             "t=%.3fs circuit breaker tripped (%d node(s) not closed)",
             to_seconds(engine_.now()), breakers_.tripped_count());
-  while (last_trips_ < trips) {
-    obs::bump(hooks_.breaker_trips);
-    ++last_trips_;
-  }
+  last_trips_ = trips;
+}
+
+void OverloadController::publish(core::RunResult& result,
+                                 obs::CounterRegistry*) const {
+  const Time end = engine_.now();
+  result.shed = shed_;
+  result.abandoned = abandoned_;
+  result.overload_retries = retries_;
+  result.breaker_trips = breakers_.trips();
+  result.degraded_entries = saturation_.entries();
+  result.degraded_seconds = to_seconds(saturation_.degraded_time(end));
 }
 
 }  // namespace wsched::overload

@@ -3,10 +3,10 @@
 // cluster saturation detector that flips masters into a degraded
 // static-only mode.
 //
-// The controller is the cluster's single point of contact: ClusterSim
-// instantiates one when any overload feature is enabled (OverloadConfig::
-// any()), feeds it dispatch/completion/failure events, and asks it for
-// admission verdicts. With every knob at its disabled default the
+// The controller is one layer of a cluster run (core/layer.hpp): the run
+// attaches it when any overload feature is enabled (OverloadConfig::any())
+// and it acts at the arrival, admission, dispatch, landing, completion and
+// terminal hooks. With every knob at its disabled default the
 // subsystem is not constructed at all and the run is bit-identical to one
 // without it; an enabled-but-never-triggered configuration consumes no RNG
 // draws from the shared streams (the controller owns its own).
@@ -20,10 +20,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
-#include <vector>
 
+#include "core/layer.hpp"
 #include "obs/trace.hpp"
 #include "overload/admission.hpp"
 #include "overload/backoff.hpp"
@@ -32,6 +31,10 @@
 #include "sim/node.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
+
+namespace wsched::core {
+class ClusterRun;
+}
 
 namespace wsched::overload {
 
@@ -64,91 +67,35 @@ struct OverloadConfig {
   }
 };
 
-/// Observability surface the controller reports through; every pointer may
-/// be null (see obs/observer.hpp's null-safe conventions).
-struct OverloadHooks {
-  obs::TraceSink* trace = nullptr;
-  int cluster_pid = 0;
-  std::uint64_t* shed = nullptr;
-  std::uint64_t* retries = nullptr;
-  std::uint64_t* abandoned = nullptr;
-  std::uint64_t* breaker_trips = nullptr;
-  std::uint64_t* degraded_entries = nullptr;
-};
-
-class OverloadController {
+class OverloadController : public core::Layer {
  public:
-  OverloadController(sim::Engine& engine, std::vector<sim::Node*> nodes,
-                     const OverloadConfig& config, std::uint64_t seed);
+  OverloadController(core::ClusterRun& run, const OverloadConfig& config);
 
-  void set_hooks(const OverloadHooks& hooks) { hooks_ = hooks; }
-  /// Saturation-mode transitions (true = degraded); the cluster clamps the
-  /// reservation here.
-  void set_on_degraded(std::function<void(bool)> fn) {
-    on_degraded_ = std::move(fn);
-  }
-  /// A tracked job was abandoned (terminal); the cluster settles its
-  /// completion accounting here.
-  void set_on_abandon(std::function<void(std::uint64_t)> fn) {
-    on_abandon_ = std::move(fn);
-  }
+  // --- the layer hooks (see core/layer.hpp) ---
 
-  /// Schedules the periodic signal tick; call once before the run.
-  void start();
-
-  // --- admission ---
-
-  /// Shed verdict for an arriving (or retrying) request: null admits, a
-  /// non-null reason tag ("shed-queue" / "shed-util" / "shed-stretch")
-  /// sheds. Draws from the controller's own RNG stream only when the
-  /// policy probability is strictly between 0 and 1.
-  const char* shed_reason(bool dynamic);
-
-  // --- deadlines / abandonment ---
-
-  Time deadline_for(bool dynamic) const;
-  /// Starts the abandonment clock for a job (no-op for a class without a
-  /// deadline). Call once, at first admission to the cluster.
-  void arm_deadline(const sim::Job& job);
-  /// Tracking updates as the job moves: executing on `node` / in flight
-  /// between nodes (hop or backoff wait).
-  void note_on_node(std::uint64_t id, int node);
-  void note_waiting(std::uint64_t id);
-  /// True when the job was abandoned while waiting; the pending event that
-  /// held it must drop it (tracking is released here).
-  bool consume_abandoned(std::uint64_t id);
-  /// Releases tracking on any other terminal path (fault timeout, final
-  /// shed) so the deadline event cannot double-settle the job.
-  void forget(std::uint64_t id);
-  /// Completion: closes tracking, feeds the breaker and (for static
-  /// requests) the stretch-target admission signal. Returns false when the
-  /// job was already counted abandoned (a zombie completion racing the
-  /// deadline event) — the caller must skip its completion accounting.
-  bool on_complete(const sim::Job& job, int node, Time completion);
-
-  // --- shed/retry accounting (driven by the cluster's retry loop) ---
-
-  void count_retry(std::uint64_t id);
-  void count_shed(std::uint64_t id);
-  Rng& retry_rng() { return retry_rng_; }
-
-  // --- breakers ---
-
-  /// Null when breakers are disabled; otherwise wired into ClusterView.
-  BreakerBank* breakers() { return breakers_on_ ? &breakers_ : nullptr; }
-  void note_dispatch(int node);
-  void note_dispatch_failure(int node);
-
-  // --- end-of-run results ---
-
-  std::uint64_t shed_count() const { return shed_; }
-  std::uint64_t abandoned_count() const { return abandoned_; }
-  std::uint64_t retry_count() const { return retries_; }
-  std::uint64_t breaker_trips() const { return breakers_.trips(); }
-  bool degraded() const { return saturation_.degraded(); }
-  std::uint64_t degraded_entries() const { return saturation_.entries(); }
-  Time degraded_time(Time now) const { return saturation_.degraded_time(now); }
-  const AdmissionController& admission() const { return admission_; }
+  /// Schedules the periodic signal tick.
+  void start() override;
+  /// Starts the abandonment clock (no-op for a class without a deadline).
+  void on_arrival(sim::Job& job) override;
+  /// Sheds (into the client retry loop) or admits.
+  bool admit(sim::Job& job) override;
+  /// Breaker feed: a dispatch to `node`, or a failed one.
+  void on_sent(int node, bool ok) override;
+  /// Tracking: the job is in flight (hop or backoff wait) / on `node`.
+  void on_wait(const sim::Job& job) override;
+  void on_landed(const sim::Job& job, int node) override;
+  /// A job abandoned while waiting is dropped when its hop lands.
+  bool on_land(const sim::Job& job) override;
+  /// Closes tracking, feeds the breaker and (for static requests) the
+  /// stretch-target admission signal. False for a completion racing an
+  /// already-counted abandonment — a zombie the core must not count.
+  bool on_complete(const sim::Job& job, int node, Time at) override;
+  /// A timed-out request releases its tracking.
+  void on_terminal(std::uint64_t id, obs::SpanOutcome why) override;
+  /// Retry landing (tag 0) or deadline (tag 1).
+  void resume(sim::Job& job, int tag) override;
+  void publish(core::RunResult& result,
+               obs::CounterRegistry* counters) const override;
 
  private:
   struct TrackedJob {
@@ -156,14 +103,28 @@ class OverloadController {
     bool abandoned = false;
     bool dynamic = false;
   };
+  enum Tag : int { kRetry = 0, kDeadline = 1 };
 
+  /// Shed verdict for an arriving (or retrying) request: null admits, a
+  /// non-null reason tag ("shed-queue" / "shed-util" / "shed-stretch")
+  /// sheds. Draws from the controller's own RNG stream only when the
+  /// policy probability is strictly between 0 and 1.
+  const char* shed_reason(bool dynamic);
+  Time deadline_for(bool dynamic) const;
+
+  /// Load shedding: a shed request is retried by the client with the
+  /// shared backoff curve up to max_retries times, then counted shed for
+  /// good — never silently lost. Each retry is a fresh admission.
+  void shed_retry(sim::Job job, const char* reason);
   void on_deadline(std::uint64_t id);
+  static void fire_tick(void* ctx);
   void on_tick();
-  /// Bumps trip accounting for any breaker transition since the last call.
+  /// Traces (and logs) any breaker trip since the last call.
   void sync_breaker_trips();
 
+  core::ClusterRun& run_;
   sim::Engine& engine_;
-  std::vector<sim::Node*> nodes_;
+  obs::TraceSink* trace_;
   OverloadConfig config_;
   AdmissionController admission_;
   SaturationDetector saturation_;
@@ -171,9 +132,6 @@ class OverloadController {
   bool breakers_on_;
   Rng admission_rng_;
   Rng retry_rng_;
-  OverloadHooks hooks_;
-  std::function<void(bool)> on_degraded_;
-  std::function<void(std::uint64_t)> on_abandon_;
 
   std::unordered_map<std::uint64_t, TrackedJob> live_;
   Time last_tick_ = 0;

@@ -104,8 +104,6 @@ class Node {
   /// factors (1.0 = nominal, 0.25 = four times slower). Takes effect from
   /// the next scheduled slice; the in-flight slice completes as planned.
   void set_degradation(double cpu_factor, double disk_factor);
-  double cpu_degradation() const { return cpu_degr_; }
-  double disk_degradation() const { return disk_degr_; }
 
   // --- load introspection (consumed by core::LoadMonitor) ---
 
