@@ -3,12 +3,12 @@
 
 "Same behaviour" for this repository means byte-identical artifacts. This
 script runs every bench and example binary under WSCHED_QUICK=1, plus the
-flag combinations the CI bench-smoke job exercises (control plane, gray
-failure with slow-health and hedging, span tracing, trace + probes +
-decision log, a 50-seed chaos search and the quorum-off drill). Each run
-gets its own scratch directory; every file it writes, its stdout and its
-exit status are hashed (SHA-256, first 16 hex digits) and compared with
-the manifest.
+flag combinations the CI bench-smoke job exercises (control plane, the
+net model, gray failure with slow-health and hedging, span tracing,
+trace + probes + decision log, a 50-seed chaos search and the quorum-off
+drill). Each run gets its own scratch directory; every file it writes, its
+stdout and its exit status are hashed (SHA-256, first 16 hex digits) and
+compared with the manifest.
 
 Only table3_validation's wall-clock testbed columns are left out: the
 `imp_*_actual` CSV/JSON fields and the "Actual" cells of its stdout table
@@ -72,6 +72,9 @@ RUNS = [
     ("workbench", "examples/trace_workbench", []),
     ("obs", "bench/fig4_optimizations", UCB + OBS),
     ("ctrl", "bench/fig4_optimizations", UCB + ["--ctrl"] + OBS),
+    ("net", "bench/fig4_optimizations",
+     UCB + ["--net-loss", "0.02", "--net-latency", "0.001:0.0005",
+            "--stale-fallback", "0.3"] + OBS),
     ("gray", "bench/fig4_optimizations",
      UCB + GRAY + ["--trace", "trace.json", "--decision-log",
                    "decisions.csv"]),
