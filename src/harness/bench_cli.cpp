@@ -151,6 +151,18 @@ BenchCli::BenchCli(int argc, const char* const* argv,
   try {
     obs::init_log_from_env();  // --log overrides
     parse_flags(CliArgs(argc, argv), table);
+    // Values only the command line sets; config ranges are checked by the
+    // simulator itself.
+    if (options.jobs < 0)
+      throw std::invalid_argument("--jobs must be >= 0 (0 = all cores)");
+    if (obs.probe_interval_s < 0.0)
+      throw std::invalid_argument("--probe-interval must be >= 0");
+    if (obs.exemplars < 0)
+      throw std::invalid_argument("--exemplars must be >= 0");
+    // The library reads a negative cap as "shed every dynamic request".
+    if (overload.admission.max_queue < 0.0)
+      throw std::invalid_argument(
+          "--shed-queue (admission max_queue) must be >= 0");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "bench",
                  e.what());

@@ -49,7 +49,8 @@ AdmissionPolicy parse_admission_policy(const std::string& name);
 
 struct AdmissionConfig {
   AdmissionPolicy policy = AdmissionPolicy::kNone;
-  /// Queue-depth policy: mean per-alive-node run+disk queue threshold.
+  /// Queue-depth policy: mean per-alive-node run+disk queue threshold. A
+  /// negative cap sheds every dynamic request from t = 0.
   double max_queue = 48.0;
   /// Utilization policy: shed ramps from this mean cpu utilization to 1.0.
   double max_utilization = 0.90;
