@@ -113,32 +113,17 @@ void Engine::insert(Event e) {
   }
   if (ring_count_ == 0 && run_.empty()) {
     // Ring fully drained: every chain is empty (consumed leftovers only
-    // live in run_ until the cursor moves on), so the cursor can jump
-    // anywhere. It must: run_until() may have parked now_ arbitrarily far
-    // ahead of the last drained bucket, and if the lag exceeds one window,
-    // next_nonempty_after()'s absolute-index arithmetic (cur_bucket_ + 1 +
-    // delta) would resolve this event's slot to the wrong window — a
-    // bucket index off by a multiple of kBuckets — breaking the
-    // `b == cur_bucket_` sorted-insert check and with it the (t, seq)
-    // dispatch order. Pin the cursor to now_'s bucket, not the
-    // event's: once now_ has advanced (a direct overflow serve, or a
-    // run_until() horizon), overflow events may lie inside the window
-    // ahead of `b`. Pulling them into the ring first keeps the cursor from
-    // skipping past them.
+    // live in run_ until the cursor moves on), so the cursor can jump.
+    // Pin it to now_'s bucket, not the event's: after a direct overflow
+    // serve, other overflow events may lie inside the window ahead of `b`.
+    // Pulling them into the ring first keeps the cursor from skipping
+    // past them.
     cur_bucket_ = bucket_of(now_);
     drain_overflow_into_window();
-  } else if (b < cur_bucket_) {
-    // Only reachable when run_until() parked the cursor on a future bucket
-    // and the caller then scheduled something earlier (still >= now_).
-    // Rewind: the parked bucket's unconsumed run goes back onto its chain
-    // (keeping its bitmap bit) and is re-sorted when the cursor returns.
-    // Nothing has been consumed from it (pops pin the cursor to
-    // bucket_of(now_)).
-    assert(run_pos_ == 0);
-    for (const Event& parked : run_) link(cur_bucket_ & kBucketMask, parked);
-    run_.clear();
-    cur_bucket_ = b;
   }
+  // Every pop leaves the cursor on now_'s bucket and t >= now_, so a new
+  // event never lands behind the cursor.
+  assert(b >= cur_bucket_);
   ++ring_count_;
   if (b == cur_bucket_ && !run_.empty()) {
     // The cursor is draining this bucket. The new event carries the
@@ -356,23 +341,6 @@ void Engine::run() {
     if (processed_ >= guard_check_at_) guard_tick();
     dispatch(e);
   }
-}
-
-void Engine::run_until(Time horizon) {
-  stopped_ = false;
-  while (!stopped_) {
-    if (!prepare_next()) break;
-    const Time next_t = next_from_overflow_
-                            ? overflow_.front().t
-                            : run_[run_pos_].t;
-    if (next_t > horizon) break;
-    const Event e = take_next();
-    now_ = e.t;
-    ++processed_;
-    if (processed_ >= guard_check_at_) guard_tick();
-    dispatch(e);
-  }
-  if (now_ < horizon && !stopped_) now_ = horizon;
 }
 
 }  // namespace wsched::sim

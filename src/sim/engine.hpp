@@ -89,19 +89,16 @@ class Engine {
   void schedule_disk_slice_end(Time t, Node* node, std::uint64_t token);
   void schedule_node_tick(Time t, Node* node);
 
-  /// Runs until the queue drains or stop() is called.
+  /// Runs until the queue drains or stop() is called. A later run()
+  /// resumes where the stopped one left off.
   void run();
 
-  /// Runs while events exist with time <= horizon; leaves later events
-  /// queued and advances now() to min(horizon, last event time).
-  void run_until(Time horizon);
-
-  /// Makes run()/run_until() return after the current event completes.
+  /// Makes run() return after the current event completes.
   void stop() { stopped_ = true; }
 
   /// Arms the runaway guard: abort (EngineGuardError) once more than
   /// `max_events` events have been processed, or after `wall_budget_s`
-  /// real seconds inside run()/run_until(). Zero disables either limit
+  /// real seconds inside run(). Zero disables either limit
   /// (both zero disarms the guard entirely — the default).
   void set_guard(std::uint64_t max_events, double wall_budget_s = 0.0);
 

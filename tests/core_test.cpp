@@ -145,7 +145,8 @@ TEST(LoadMonitor, TracksBusyNode) {
     job.request.mem_pages = 1;
     busy.submit(job);
   });
-  engine.run_until(250 * kMillisecond);
+  engine.schedule_at(250 * kMillisecond, [&engine] { engine.stop(); });
+  engine.run();
   EXPECT_LT(monitor.info(0).cpu_idle_ratio, 0.05);
   EXPECT_DOUBLE_EQ(monitor.info(1).cpu_idle_ratio, 1.0);
   EXPECT_DOUBLE_EQ(monitor.info(0).disk_avail_ratio, 1.0);
@@ -163,7 +164,8 @@ TEST(LoadMonitor, RatiosFloored) {
     job.request.cpu_fraction = 1.0;
     node.submit(job);
   });
-  engine.run_until(200 * kMillisecond);
+  engine.schedule_at(200 * kMillisecond, [&engine] { engine.stop(); });
+  engine.run();
   EXPECT_GE(monitor.info(0).cpu_idle_ratio, 0.07);
 }
 

@@ -131,7 +131,8 @@ TEST(NodeFault, CrashDropsInflightWorkAndReclaimsMemory) {
     job.request = small_request();
     node.submit(std::move(job));
   }
-  engine.run_until(10 * kMillisecond);
+  engine.schedule_at(10 * kMillisecond, [&engine] { engine.stop(); });
+  engine.run();
   ASSERT_EQ(node.live_processes(), 3u);
   EXPECT_GT(node.memory().used_pages(), 0u);
 
@@ -190,7 +191,8 @@ TEST(NodeFault, CancelRemovesLiveJobWithoutCompleting) {
     job.request = small_request();
     node.submit(std::move(job));
   }
-  engine.run_until(5 * kMillisecond);
+  engine.schedule_at(5 * kMillisecond, [&engine] { engine.stop(); });
+  engine.run();
   ASSERT_EQ(node.live_processes(), 2u);
 
   // Cancelling a live job frees its slot; the survivor still finishes.
@@ -224,22 +226,28 @@ TEST(Health, DetectionFollowsMissedHeartbeats) {
         if (to == fault::NodeHealth::kDead) dead_seen = node;
       });
 
+  // Steps the engine: a checkpoint event at `t` stops it.
+  const auto run_to = [&engine](Time t) {
+    engine.schedule_at(t, [&engine] { engine.stop(); });
+    engine.run();
+  };
+
   engine.schedule_at(250 * kMillisecond, [&] { b.crash(); });
-  engine.run_until(260 * kMillisecond);
+  run_to(260 * kMillisecond);
   EXPECT_TRUE(health.healthy(1));  // not yet detected
   EXPECT_EQ(health.healthy_count(), 2);
 
-  engine.run_until(320 * kMillisecond);  // one missed heartbeat
+  run_to(320 * kMillisecond);  // one missed heartbeat
   EXPECT_EQ(health.health(1), fault::NodeHealth::kSuspected);
   EXPECT_EQ(dead_seen, -1);
 
-  engine.run_until(420 * kMillisecond);  // two missed heartbeats
+  run_to(420 * kMillisecond);  // two missed heartbeats
   EXPECT_EQ(health.health(1), fault::NodeHealth::kDead);
   EXPECT_EQ(dead_seen, 1);
   EXPECT_EQ(health.healthy_count(), 1);
 
   engine.schedule_at(450 * kMillisecond, [&] { b.recover(); });
-  engine.run_until(520 * kMillisecond);  // first heartbeat after recovery
+  run_to(520 * kMillisecond);  // first heartbeat after recovery
   EXPECT_TRUE(health.healthy(1));
   EXPECT_EQ(health.healthy_count(), 2);
 }
