@@ -18,6 +18,14 @@ namespace {
 constexpr int kFormatVersion = 1;
 constexpr const char* kFormatTag = "wsched-chaos-schedule";
 
+/// Per-node arrival-rate band of generated schedules (lambda = p *
+/// uniform(lo, hi)).
+constexpr double kLambdaPerNodeLo = 35.0;
+constexpr double kLambdaPerNodeHi = 85.0;
+/// Probability that a schedule takes the autoscale branch instead of the
+/// fault branch (the two are exclusive by construction).
+constexpr double kAutoscaleProb = 0.25;
+
 trace::WorkloadProfile profile_by_name(const std::string& name) {
   if (name == "ksu") return trace::ksu_profile();
   if (name == "ucb") return trace::ucb_profile();
@@ -207,7 +215,7 @@ ChaosSchedule generate_schedule(std::uint64_t seed,
   s.p = 6 + 2 * static_cast<int>(rng.uniform_int(3));  // 6 | 8 | 10
   s.m = 2 + ((s.p >= 10 && rng.bernoulli(0.3)) ? 1 : 0);
   s.lambda = static_cast<double>(s.p) *
-             rng.uniform(config.lambda_per_node_lo, config.lambda_per_node_hi);
+             rng.uniform(kLambdaPerNodeLo, kLambdaPerNodeHi);
   s.profile = kProfiles[rng.uniform_int(4)];
   s.bursty = rng.bernoulli(0.3);
   if (rng.bernoulli(0.2)) {
@@ -215,7 +223,7 @@ ChaosSchedule generate_schedule(std::uint64_t seed,
     s.flip_profile = kProfiles[rng.uniform_int(4)];
   }
 
-  const bool autoscale_branch = rng.bernoulli(config.autoscale_prob);
+  const bool autoscale_branch = rng.bernoulli(kAutoscaleProb);
   if (!autoscale_branch) {
     // --- fault branch: crash/degrade/partition chaos ---
     s.fault = true;

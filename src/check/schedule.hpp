@@ -115,12 +115,6 @@ struct ChaosSchedule {
 struct ChaosGenConfig {
   double horizon_lo_s = 8.0;
   double horizon_hi_s = 14.0;
-  /// Per-node arrival-rate band (lambda = p * uniform(lo, hi)).
-  double lambda_per_node_lo = 35.0;
-  double lambda_per_node_hi = 85.0;
-  /// Probability that a schedule takes the autoscale branch instead of the
-  /// fault branch (the two are exclusive by construction).
-  double autoscale_prob = 0.25;
 
   static ChaosGenConfig quick() {
     ChaosGenConfig c;

@@ -57,7 +57,6 @@ struct ClusterConfig {
   /// Per-node speed factors; empty means homogeneous 1.0 nodes.
   std::vector<sim::NodeParams> node_params;
   Time load_sample_period = 100 * kMillisecond;
-  Time reservation_update_period = 1 * kSecond;
   Time warmup = 2 * kSecond;
   std::uint64_t seed = 1;
   /// Priors for the reservation controller (p and m are overwritten).

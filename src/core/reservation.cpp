@@ -5,11 +5,23 @@
 
 namespace wsched::core {
 
+namespace {
+
+/// EWMA weight for the arrival-mix indicator. Much smaller than
+/// estimate_alpha: at hundreds of arrivals per second a per-arrival
+/// indicator EWMA is extremely noisy unless heavily smoothed.
+constexpr double kArrivalAlpha = 0.005;
+/// Clamp for r_hat; response-ratio estimates are noisy at low load.
+constexpr double kRMin = 1e-4;
+constexpr double kRMax = 1.0;
+
+}  // namespace
+
 ReservationController::ReservationController(const ReservationConfig& config)
     : config_(config),
       static_resp_(config.estimate_alpha),
       dynamic_resp_(config.estimate_alpha),
-      arrival_mix_(config.arrival_alpha),
+      arrival_mix_(kArrivalAlpha),
       a_hat_(config.initial_a),
       r_hat_(config.initial_r) {
   if (config.m < 1 || config.m > config.p)
@@ -52,7 +64,7 @@ void ReservationController::record_dynamic_routing(bool to_master) {
 
 void ReservationController::retune(double a, double r, double max_step) {
   a_hat_ = std::max(a, 1e-9);
-  r_hat_ = std::clamp(r, config_.r_min, config_.r_max);
+  r_hat_ = std::clamp(r, kRMin, kRMax);
   if (config_.m == 0 || degraded_) {
     theta_limit_ = 0.0;
     return;
@@ -84,8 +96,8 @@ void ReservationController::update() {
   }
   if (static_resp_.primed() && dynamic_resp_.primed() &&
       dynamic_resp_.value() > 0) {
-    r_hat_ = std::clamp(static_resp_.value() / dynamic_resp_.value(),
-                        config_.r_min, config_.r_max);
+    r_hat_ = std::clamp(static_resp_.value() / dynamic_resp_.value(), kRMin,
+                        kRMax);
   }
   theta_limit_ = (config_.m == 0 || degraded_)
                      ? 0.0

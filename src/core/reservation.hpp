@@ -31,15 +31,8 @@ struct ReservationConfig {
   double initial_a = 0.3;
   /// EWMA weight for response-time estimates.
   double estimate_alpha = 0.05;
-  /// EWMA weight for the arrival-mix indicator. Much smaller than
-  /// estimate_alpha: at hundreds of arrivals per second a per-arrival
-  /// indicator EWMA is extremely noisy unless heavily smoothed.
-  double arrival_alpha = 0.005;
   /// EWMA weight for the routed-to-master fraction (per dynamic request).
   double routing_alpha = 0.01;
-  /// Clamp for r_hat; response-ratio estimates are noisy at low load.
-  double r_min = 1e-4;
-  double r_max = 1.0;
 };
 
 class ReservationController {

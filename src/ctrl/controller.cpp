@@ -47,12 +47,9 @@ Actions ControlLoop::plan(const Telemetry& telemetry,
 
   Actions actions;
   actions.masters_target = telemetry.masters;
-  if (config_.tune_reservation) {
-    actions.retune = true;
-    actions.a = telemetry.a_hat;
-    actions.r = estimator.r_hat();
-    actions.slew = config_.theta_slew;
-  }
+  actions.a = telemetry.a_hat;
+  actions.r = estimator.r_hat();
+  actions.slew = config_.theta_slew;
   if (!config_.autoscale) return actions;
 
   double busy = 0.0;
@@ -101,14 +98,15 @@ void ControlLoop::attach(core::ClusterRun& run) {
   powered_ = powered_low_ = total_;
   core::ClusterView& view = run.view();
   view.ctrl_active = true;
-  if (config_.use_estimated_w) view.ctrl_w = estimator_->w_ref();
+  // RSRC reads the estimated w in place of the per-request oracle w.
+  view.ctrl_w = estimator_->w_ref();
   if (config_.autoscale) {
     powered_state_.assign(static_cast<std::size_t>(total_), 1);
     view.powered = &powered_state_;
   }
   // The slew-limited retune owns theta'_2; the unslewed periodic update
   // would stomp it.
-  if (config_.tune_reservation) run.hand_off_reservation_tuning();
+  run.hand_off_reservation_tuning();
   if (obs::TraceSink* tracer = run.tracer())
     tracer->name_thread(run.cluster_pid(), obs::kLaneCtrl, "ctrl");
 }
@@ -148,17 +146,15 @@ void ControlLoop::tick() {
   const Actions actions = plan(telemetry, *estimator_);
   obs::TraceSink* tracer = run.tracer();
 
-  if (actions.retune) {
-    run.reservation().retune(actions.a, actions.r, actions.slew);
-    ++retunes_;
-    if (tracer != nullptr)
-      tracer->instant(obs::Category::kCtrl, "retune", run.cluster_pid(),
-                      obs::kLaneCtrl, now,
-                      {{"theta", run.reservation().theta_limit()},
-                       {"w_hat", estimator_->w_hat()},
-                       {"r_hat", actions.r},
-                       {"a_hat", actions.a}});
-  }
+  run.reservation().retune(actions.a, actions.r, actions.slew);
+  ++retunes_;
+  if (tracer != nullptr)
+    tracer->instant(obs::Category::kCtrl, "retune", run.cluster_pid(),
+                    obs::kLaneCtrl, now,
+                    {{"theta", run.reservation().theta_limit()},
+                     {"w_hat", estimator_->w_hat()},
+                     {"r_hat", actions.r},
+                     {"a_hat", actions.a}});
   bool membership_dirty = false;
   if (actions.scale == ScaleAction::kUp && powered_ < total_) {
     scale_up(now);

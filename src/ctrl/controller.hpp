@@ -38,10 +38,6 @@ struct CtrlConfig {
   double estimate_alpha = 0.05;
   /// Prior w until the first dynamic completion.
   double initial_w = 0.5;
-  /// Feed the estimated w to RSRC (replacing the per-request oracle w).
-  bool use_estimated_w = true;
-  /// Continuously re-solve theta'_2 from the estimated (a, r).
-  bool tune_reservation = true;
   /// Max theta'_2 movement per control tick (slew-rate limit).
   double theta_slew = 0.05;
   /// Power slaves on/off with hysteretic thresholds.
@@ -74,7 +70,6 @@ struct Telemetry {
 
 /// What the cluster should do before the next interval.
 struct Actions {
-  bool retune = false;
   double a = 0.0;     ///< a_hat fed to the reservation retune
   double r = 0.0;     ///< r_hat fed to the reservation retune
   double slew = 0.0;  ///< max theta movement this tick

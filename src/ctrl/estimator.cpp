@@ -4,6 +4,13 @@
 
 namespace wsched::ctrl {
 
+namespace {
+
+/// Static service rate reported until the first static completion.
+constexpr double kInitialMuH = 1200.0;
+
+}  // namespace
+
 ParamEstimator::ParamEstimator(const EstimatorConfig& config)
     : config_(config),
       w_(config.alpha),
@@ -43,7 +50,7 @@ double ParamEstimator::r_hat() const {
 
 double ParamEstimator::mu_h_hat() const {
   if (!static_demand_.primed() || static_demand_.value() <= 0.0)
-    return config_.initial_mu_h;
+    return kInitialMuH;
   return 1.0 / static_demand_.value();
 }
 

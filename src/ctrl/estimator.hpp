@@ -28,7 +28,6 @@ struct EstimatorConfig {
   /// Priors reported until the first completion of the relevant class.
   double initial_w = 0.5;
   double initial_r = 1.0 / 40.0;
-  double initial_mu_h = 1200.0;
 };
 
 class ParamEstimator {

@@ -22,6 +22,11 @@
 namespace wsched::fault {
 namespace {
 
+/// Heartbeat detection: a node is suspected after this many consecutive
+/// silent rounds and declared dead after kDeadMisses.
+constexpr int kSuspectMisses = 1;
+constexpr int kDeadMisses = 2;
+
 class FailoverLayer final : public core::Layer {
  public:
   explicit FailoverLayer(core::ClusterRun& run)
@@ -29,12 +34,11 @@ class FailoverLayer final : public core::Layer {
         network_(run.network()),
         membership_(run.config().p, run.config().m),
         injector_(run.engine(), run.nodes(), run.config().fault,
-                  run.config().m, run.config().seed),
+                  run.config().seed),
         backoff_rng_(run.config().seed, 0xFA11B0FF) {
     const core::ClusterConfig& config = run.config();
-    const Time heartbeat = config.fault.heartbeat_period > 0
-                               ? config.fault.heartbeat_period
-                               : config.load_sample_period;
+    // Heartbeats ride the load sampling cadence.
+    const Time heartbeat = config.load_sample_period;
     injector_.set_trace(run.tracer());
     injector_.set_on_crash([this](int node, std::vector<sim::Job> dropped) {
       for (sim::Job& job : dropped) run_.strand(job, node, core::Strand::kCrash);
@@ -53,8 +57,8 @@ class FailoverLayer final : public core::Layer {
       // single omniscient HealthMonitor (see net/net_health.hpp).
       net::NetHealth::Config nh;
       nh.period = heartbeat;
-      nh.suspect_misses = config.fault.suspect_misses;
-      nh.dead_misses = config.fault.dead_misses;
+      nh.suspect_misses = kSuspectMisses;
+      nh.dead_misses = kDeadMisses;
       nh.loss = config.net.loss;
       nh.quorum = config.net.quorum ? config.p / 2 + 1 : 0;
       nh.masters = config.m;
@@ -77,8 +81,7 @@ class FailoverLayer final : public core::Layer {
       net_health_->set_on_round([this] { retry_promotions(); });
     } else {
       health_ = std::make_unique<HealthMonitor>(
-          run.engine(), run.nodes(), heartbeat, config.fault.suspect_misses,
-          config.fault.dead_misses);
+          run.engine(), run.nodes(), heartbeat, kSuspectMisses, kDeadMisses);
       health_->set_on_transition(on_transition);
     }
     run.view().membership = &membership_;

@@ -8,12 +8,10 @@ namespace wsched::fault {
 
 FaultInjector::FaultInjector(sim::Engine& engine,
                              std::vector<sim::Node*> nodes,
-                             const FaultConfig& config, int initial_masters,
-                             std::uint64_t seed)
+                             const FaultConfig& config, std::uint64_t seed)
     : engine_(engine),
       nodes_(std::move(nodes)),
       config_(config),
-      initial_masters_(initial_masters),
       down_since_(nodes_.size(), 0) {
   for (const FaultEvent& event : config_.script)
     if (event.node < 0 ||
@@ -51,20 +49,11 @@ FaultInjector::FaultInjector(sim::Engine& engine,
 void FaultInjector::start() {
   for (const FaultEvent& event : config_.script)
     engine_.schedule_at(event.at, [this, event] { apply(event); });
-  if (config_.mttf_s > 0.0) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const bool master = static_cast<int>(i) < initial_masters_;
-      if (master ? config_.fail_masters : config_.fail_slaves)
-        schedule_next_failure(static_cast<int>(i));
-    }
-  }
-  if (config_.degrade_mttf_s > 0.0) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const bool master = static_cast<int>(i) < initial_masters_;
-      if (master ? config_.fail_masters : config_.fail_slaves)
-        schedule_next_degrade(static_cast<int>(i));
-    }
-  }
+  const int nodes = static_cast<int>(nodes_.size());
+  if (config_.mttf_s > 0.0)
+    for (int i = 0; i < nodes; ++i) schedule_next_failure(i);
+  if (config_.degrade_mttf_s > 0.0)
+    for (int i = 0; i < nodes; ++i) schedule_next_degrade(i);
 }
 
 void FaultInjector::apply(const FaultEvent& event) {

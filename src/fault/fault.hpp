@@ -57,20 +57,11 @@ struct FaultConfig {
   std::vector<FaultEvent> script;
 
   /// Stochastic churn: per-node mean time to failure / to repair in
-  /// seconds; mttf_s == 0 disables stochastic crashes.
+  /// seconds; mttf_s == 0 disables stochastic crashes. Churn may hit any
+  /// node, master or slave. Failure detection is the failover layer's:
+  /// heartbeats ride the cluster's load sampling cadence.
   double mttf_s = 0.0;
   double mttr_s = 5.0;
-  /// Which initial roles stochastic crashes may hit.
-  bool fail_masters = true;
-  bool fail_slaves = true;
-
-  /// Failure detection: heartbeats ride the load sampling cadence
-  /// (heartbeat_period == 0 uses the cluster's load_sample_period);
-  /// a node is suspected after `suspect_misses` consecutive silent
-  /// rounds and declared dead after `dead_misses`.
-  Time heartbeat_period = 0;
-  int suspect_misses = 1;
-  int dead_misses = 2;
 
   /// Failover: a request stranded by a crash (in flight on the node, or
   /// landing on it before detection) is re-dispatched up to
@@ -114,11 +105,8 @@ class FaultInjector {
   /// Fires after the node is crashed; `dropped` is its lost in-flight work.
   using CrashFn = std::function<void(int node, std::vector<sim::Job> dropped)>;
 
-  /// `initial_masters` = m under the static role convention (used only to
-  /// aim stochastic faults when fail_masters/fail_slaves differ).
   FaultInjector(sim::Engine& engine, std::vector<sim::Node*> nodes,
-                const FaultConfig& config, int initial_masters,
-                std::uint64_t seed);
+                const FaultConfig& config, std::uint64_t seed);
 
   /// Fires when a fail-slow episode opens (loss/factor = the degraded
   /// values) and again when it heals (0.0 / 1.0); the cluster forwards it
@@ -171,7 +159,6 @@ class FaultInjector {
   sim::Engine& engine_;
   std::vector<sim::Node*> nodes_;
   FaultConfig config_;
-  int initial_masters_;
   std::vector<Rng> streams_;   ///< one stochastic crash stream per node
   std::vector<Rng> degrade_streams_;  ///< one fail-slow stream per node
   std::vector<Time> down_since_;

@@ -16,6 +16,17 @@
 namespace wsched::net {
 namespace {
 
+/// The dispatch hop's at-least-once RPC: per-attempt timeout, attempt cap
+/// and retransmit backoff.
+constexpr Time kRpcTimeout = 50 * kMillisecond;
+constexpr int kRpcMaxAttempts = 3;
+constexpr overload::BackoffConfig kRpcBackoff{
+    overload::BackoffKind::kExponential, 10 * kMillisecond, 2.0,
+    500 * kMillisecond, 0.1};
+/// RSRC staleness penalty: a candidate's cost is scaled by
+/// (1 + penalty * age_s), where age is the receiver's report age.
+constexpr double kStalePenaltyPerS = 0.25;
+
 class NetLayer final : public core::Layer {
  public:
   NetLayer(core::ClusterRun& run)
@@ -23,19 +34,16 @@ class NetLayer final : public core::Layer {
         network_(run.engine(), run.config().net, run.config().p,
                  run.config().seed),
         stale_(run.config().p) {
-    const NetworkParams& params = run.config().net;
     network_.set_hooks({run.tracer(), run.cluster_pid()});
-    Rpc::Options options;
-    options.timeout = from_seconds(params.rpc_timeout_s);
-    options.max_attempts = params.rpc_max_attempts;
-    options.backoff = params.rpc_backoff;
-    rpc_.emplace(run.engine(), network_, options, run.config().seed);
+    rpc_.emplace(run.engine(), network_,
+                 Rpc::Options{kRpcTimeout, kRpcMaxAttempts, kRpcBackoff},
+                 run.config().seed);
     rpc_->set_hooks({run.tracer(), run.spans(), run.cluster_pid()});
     core::ClusterView& view = run.view();
     view.network = &network_;
     view.stale = &stale_;
-    view.stale_penalty_per_s = params.stale_penalty_per_s;
-    view.stale_max_age_s = params.stale_max_age_s;
+    view.stale_penalty_per_s = kStalePenaltyPerS;
+    view.stale_max_age_s = run.config().net.stale_max_age_s;
     view.stale_fallbacks = &stale_fallbacks_;
     run.set_transport(this, &network_);
     // Named only when the net model is on: naming the lane in a net-off run
@@ -116,7 +124,7 @@ class NetLayer final : public core::Layer {
                     "t=%.3fs job %llu lost on the wire after %d attempts",
                     to_seconds(run_.engine().now()),
                     static_cast<unsigned long long>(job.id),
-                    run_.config().net.rpc_max_attempts);
+                    kRpcMaxAttempts);
           run_.settle(job.id, obs::SpanOutcome::kTimeout,
                       run_.here(obs::kLaneNet), job.attempts);
         },

@@ -15,7 +15,11 @@ namespace {
 // them).
 constexpr std::uint64_t kLatencyStream = 0x4E7001;
 constexpr std::uint64_t kLossStream = 0x4E7002;
-constexpr std::uint64_t kChurnStream = 0x4E7003;
+
+/// One-way latency of a control message (load reports, acks).
+constexpr double kControlLatencyS = 0.0005;
+/// Upper bound of the extra delay a reordered message suffers.
+constexpr double kReorderExtraS = 0.005;
 
 int parse_node_id(const std::string& token, std::size_t begin,
                   std::size_t end) {
@@ -94,17 +98,14 @@ Network::Network(sim::Engine& engine, const NetworkParams& params, int nodes,
       nodes_(nodes),
       latency_rng_(seed, kLatencyStream),
       loss_rng_(seed, kLossStream),
-      churn_rng_(seed, kChurnStream),
       group_(static_cast<std::size_t>(nodes), 0),
       extra_loss_(static_cast<std::size_t>(nodes), 0.0),
       latency_factor_(static_cast<std::size_t>(nodes), 1.0) {
   if (nodes_ <= 0) throw std::invalid_argument("network: need nodes > 0");
   if (params_.loss < 0.0 || params_.loss >= 1.0)
     throw std::invalid_argument("network: loss must be in [0, 1)");
-  if (params_.latency_base_s < 0.0 || params_.control_latency_s < 0.0)
+  if (params_.latency_base_s < 0.0)
     throw std::invalid_argument("network: negative latency");
-  if (params_.link_spread < 0.0 || params_.link_spread >= 1.0)
-    throw std::invalid_argument("network: link_spread must be in [0, 1)");
   for (const PartitionSpec& spec : params_.partitions) {
     if (spec.until <= spec.from)
       throw std::invalid_argument("network: partition window must be ordered");
@@ -123,29 +124,15 @@ Network::Network(sim::Engine& engine, const NetworkParams& params, int nodes,
   }
 }
 
-double Network::link_factor(int src, int dst) const {
-  if (params_.link_spread <= 0.0) return 1.0;
-  // Hash (src, dst) into a stable per-link multiplier; -1 marks the front
-  // end. No RNG stream is consumed, so the factor is identical no matter
-  // how many messages ran before.
-  std::uint64_t h = 0x9E3779B97F4A7C15ULL ^
-                    (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
-                     << 32) ^
-                    static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst));
-  const double unit =
-      static_cast<double>(splitmix64(h) >> 11) * 0x1.0p-53;  // [0, 1)
-  return 1.0 - params_.link_spread + 2.0 * params_.link_spread * unit;
-}
-
 Time Network::sample_latency(MsgKind kind, int src, int dst) {
-  const double base_s = kind == MsgKind::kData ? params_.latency_base_s
-                                               : params_.control_latency_s;
-  const double jitter_s = kind == MsgKind::kData ? params_.latency_jitter_s
-                                                 : params_.control_jitter_s;
-  double latency_s = base_s * link_factor(src, dst);
-  if (jitter_s > 0.0) latency_s += latency_rng_.exponential(jitter_s);
+  double latency_s = kControlLatencyS;
+  if (kind == MsgKind::kData) {
+    latency_s = params_.latency_base_s;
+    if (params_.latency_jitter_s > 0.0)
+      latency_s += latency_rng_.exponential(params_.latency_jitter_s);
+  }
   if (params_.reorder > 0.0 && latency_rng_.bernoulli(params_.reorder))
-    latency_s += latency_rng_.uniform() * params_.reorder_extra_s;
+    latency_s += latency_rng_.uniform() * kReorderExtraS;
   if (degraded_count_ > 0)
     latency_s *= node_latency_factor(src) * node_latency_factor(dst);
   return from_seconds(latency_s);
@@ -234,32 +221,6 @@ void Network::heal_partition() {
                           obs::kLaneNet, engine_.now(), {});
 }
 
-void Network::schedule_random_churn() {
-  const Time gap =
-      from_seconds(churn_rng_.exponential(params_.partition_mttf_s));
-  engine_.schedule_after(gap, [this] {
-    // Split into two random non-empty groups: each node flips a coin,
-    // with a deterministic fixup when a side comes up empty.
-    std::vector<int> group_of(static_cast<std::size_t>(nodes_), 0);
-    int ones = 0;
-    for (int n = 0; n < nodes_; ++n) {
-      if (churn_rng_.bernoulli(0.5)) {
-        group_of[static_cast<std::size_t>(n)] = 1;
-        ++ones;
-      }
-    }
-    if (ones == 0) group_of[static_cast<std::size_t>(nodes_ - 1)] = 1;
-    if (ones == nodes_) group_of[0] = 0;
-    apply_partition(group_of);
-    const Time heal =
-        from_seconds(churn_rng_.exponential(params_.partition_mttr_s));
-    engine_.schedule_after(heal, [this] {
-      heal_partition();
-      schedule_random_churn();
-    });
-  });
-}
-
 void Network::start() {
   for (const PartitionSpec& spec : params_.partitions) {
     std::vector<int> group_of(static_cast<std::size_t>(nodes_), 0);
@@ -272,7 +233,6 @@ void Network::start() {
     });
     engine_.schedule_at(spec.until, [this] { heal_partition(); });
   }
-  if (params_.partition_mttf_s > 0.0 && nodes_ >= 2) schedule_random_churn();
 }
 
 }  // namespace wsched::net

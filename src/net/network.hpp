@@ -3,12 +3,12 @@
 // The paper charges a constant 1 ms remote-CGI dispatch latency and treats
 // every control signal (load samples, heartbeats) as free and instantly
 // delivered. Network replaces both with an explicit message layer: each
-// send samples a per-link latency (base + exponential jitter, spread by a
-// deterministic per-link factor), may be lost with probability `loss`, may
-// be delayed extra to model reordering, and is dropped outright while a
-// partition separates source and destination. Scripted partition windows
-// (and optional random partition churn) split the cluster into groups;
-// reachability is evaluated at send time.
+// send samples a latency (dispatch hops: base + exponential jitter;
+// control messages: a constant 0.5 ms), may be lost with probability
+// `loss`, may be delayed extra to model reordering, and is dropped
+// outright while a partition separates source and destination. Scripted
+// partition windows split the cluster into groups; reachability is
+// evaluated at send time.
 //
 // Determinism contract: the transport owns dedicated Rng streams, so
 // enabling it never perturbs the workload or dispatch draws, and a
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "overload/backoff.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -57,45 +56,21 @@ struct NetworkParams {
   /// Mean of the exponential latency tail added on top of the base;
   /// 0 keeps the hop constant and draws nothing.
   double latency_jitter_s = 0.0;
-  /// Per-link heterogeneity: link (i, j) scales its latency by a
-  /// deterministic factor in [1 - spread, 1 + spread] hashed from (i, j),
-  /// consuming no RNG draws. 0 = uniform links.
-  double link_spread = 0.0;
-
-  // --- control plane (load reports, acks) ---
-  double control_latency_s = 0.0005;
-  double control_jitter_s = 0.0;
 
   // --- impairments ---
   /// Per-message drop probability in [0, 1).
   double loss = 0.0;
-  /// Probability that a message is delayed by an extra uniform
-  /// [0, reorder_extra_s) — enough for a later send to overtake it.
+  /// Probability that a message is delayed by an extra uniform [0, 5 ms)
+  /// — enough for a later send to overtake it.
   double reorder = 0.0;
-  double reorder_extra_s = 0.005;
   /// Scripted partition windows (require the fault layer: membership and
   /// health must exist for the cluster to react).
   std::vector<PartitionSpec> partitions;
-  /// Random partition churn: mean time between partitions (0 disables)
-  /// and mean heal time. Each churn event splits the nodes into two
-  /// random non-empty groups.
-  double partition_mttf_s = 0.0;
-  double partition_mttr_s = 1.0;
-
-  // --- RPC (at-least-once dispatch delivery; see net/rpc.hpp) ---
-  double rpc_timeout_s = 0.05;
-  int rpc_max_attempts = 3;
-  overload::BackoffConfig rpc_backoff{overload::BackoffKind::kExponential,
-                                      10 * kMillisecond, 2.0,
-                                      500 * kMillisecond, 0.1};
 
   // --- load reports / staleness (see net/stale_view.hpp) ---
   /// Interval between per-node load reports to the masters; 0 rides the
   /// cluster's load_sample_period.
   double load_report_interval_s = 0.0;
-  /// RSRC staleness penalty: a candidate's cost is scaled by
-  /// (1 + penalty * age_s) where age is the receiver's report age.
-  double stale_penalty_per_s = 0.25;
   /// Power-of-two-choices fallback: when every candidate's report is
   /// older than this, the pick degrades to two uniform probes instead of
   /// trusting a fully stale min-RSRC scan. 0 disables the fallback.
@@ -117,7 +92,7 @@ struct NetworkParams {
 
 enum class MsgKind : std::uint8_t {
   kData,     ///< dispatch hops (latency_base_s / latency_jitter_s)
-  kControl,  ///< load reports, acks (control_latency_s / control_jitter_s)
+  kControl,  ///< load reports, acks (a constant 0.5 ms)
 };
 
 /// Observability hooks (all optional; a null pointer costs one branch).
@@ -133,8 +108,7 @@ class Network {
 
   void set_hooks(const NetworkHooks& hooks) { hooks_ = hooks; }
 
-  /// Schedules the scripted partition windows and random churn; call once
-  /// before the run.
+  /// Schedules the scripted partition windows; call once before the run.
   void start();
 
   /// Sends one message from `src` to `dst`; `deliver` runs after the
@@ -179,9 +153,6 @@ class Network {
  private:
   void apply_partition(const std::vector<int>& group_of);
   void heal_partition();
-  void schedule_random_churn();
-  /// Deterministic per-link latency multiplier in [1 - spread, 1 + spread].
-  double link_factor(int src, int dst) const;
   double node_extra_loss(int node) const {
     return node >= 0 && node < nodes_
                ? extra_loss_[static_cast<std::size_t>(node)]
@@ -198,7 +169,6 @@ class Network {
   int nodes_;
   Rng latency_rng_;
   Rng loss_rng_;
-  Rng churn_rng_;
   NetworkHooks hooks_;
   bool partition_active_ = false;
   int front_group_ = 0;

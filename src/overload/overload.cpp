@@ -8,6 +8,16 @@
 
 namespace wsched::overload {
 
+namespace {
+
+/// Sampling period of the queue/utilization signals driving admission,
+/// queue-trip breakers and the saturation detector.
+constexpr Time kSignalPeriod = 100 * kMillisecond;
+/// Client retry delays for shed requests: the shared default curve.
+constexpr BackoffConfig kRetryBackoff{};
+
+}  // namespace
+
 OverloadController::OverloadController(core::ClusterRun& run,
                                        const OverloadConfig& config)
     : run_(run),
@@ -24,8 +34,8 @@ OverloadController::OverloadController(core::ClusterRun& run,
 }
 
 void OverloadController::start() {
-  engine_.schedule_call_after(from_seconds(config_.signal_period_s),
-                              &OverloadController::fire_tick, this);
+  engine_.schedule_call_after(kSignalPeriod, &OverloadController::fire_tick,
+                              this);
 }
 
 void OverloadController::fire_tick(void* ctx) {
@@ -86,8 +96,8 @@ void OverloadController::on_tick() {
                     run_.cluster_pid(), now,
                     saturation_.degraded() ? 1.0 : 0.0);
   }
-  engine_.schedule_call_after(from_seconds(config_.signal_period_s),
-                              &OverloadController::fire_tick, this);
+  engine_.schedule_call_after(kSignalPeriod, &OverloadController::fire_tick,
+                              this);
 }
 
 const char* OverloadController::shed_reason(bool dynamic) {
@@ -202,8 +212,7 @@ void OverloadController::shed_retry(sim::Job job, const char* reason) {
   if (trace_ != nullptr)
     trace_->instant(obs::Category::kDispatch, "retry", run_.cluster_pid(),
                     obs::kLaneOverload, now, {{"job", job.id}});
-  const Time delay = backoff_delay(config_.retry_backoff, job.attempts,
-                                   &retry_rng_);
+  const Time delay = backoff_delay(kRetryBackoff, job.attempts, &retry_rng_);
   run_.hop(delay, std::move(job), kRetry, this);
 }
 

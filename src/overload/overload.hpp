@@ -54,10 +54,6 @@ struct OverloadConfig {
   /// Client retries of shed requests before the request counts as shed
   /// for good.
   int max_retries = 3;
-  BackoffConfig retry_backoff;
-  /// Sampling period of the queue/utilization signals driving admission,
-  /// queue-trip breakers and the saturation detector.
-  double signal_period_s = 0.1;
 
   /// True when any feature is on (the cluster instantiates the controller
   /// only then).

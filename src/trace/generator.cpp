@@ -10,6 +10,10 @@ namespace wsched::trace {
 namespace {
 
 constexpr double kPageBytes = 8192.0;
+/// Bursty (MMPP) arrivals: the flash-phase rate multiplier and the
+/// long-run fraction of time spent in the flash phase.
+constexpr double kFlashMultiplier = 3.0;
+constexpr double kFlashFraction = 0.2;
 
 std::uint32_t clamp_pages(double pages) {
   return static_cast<std::uint32_t>(
@@ -106,8 +110,6 @@ Trace generate(const GeneratorConfig& config) {
 
   // MMPP phase bookkeeping: the calm-phase rate is chosen so the long-run
   // average equals lambda given the multiplier and flash time fraction.
-  const double flash_mult = config.burst_rate_multiplier;
-  const double flash_frac = config.burst_fraction;
   // Diurnal thinning envelope: gaps are drawn at rate * (1 + A) and each
   // arrival is kept with probability lambda(t) / envelope, which leaves
   // the arrival stream untouched (no extra draws) when diurnal is off.
@@ -115,15 +117,16 @@ Trace generate(const GeneratorConfig& config) {
       config.diurnal ? 1.0 + config.diurnal_amplitude : 1.0;
   const double calm_rate =
       (config.bursty
-           ? config.lambda / (1.0 - flash_frac + flash_frac * flash_mult)
+           ? config.lambda / (1.0 - kFlashFraction +
+                              kFlashFraction * kFlashMultiplier)
            : config.lambda) *
       diurnal_env;
-  const double flash_rate = calm_rate * flash_mult;
+  const double flash_rate = calm_rate * kFlashMultiplier;
   // Mean phase residence times (seconds); flash phases are short.
   const double flash_hold = 0.5;
-  const double calm_hold = flash_frac > 0 && config.bursty
-                               ? flash_hold * (1.0 - flash_frac) / flash_frac
-                               : 1e30;
+  const double calm_hold =
+      config.bursty ? flash_hold * (1.0 - kFlashFraction) / kFlashFraction
+                    : 1e30;
   bool in_flash = false;
   double phase_left = config.bursty ? arrivals.exponential(calm_hold) : 1e30;
 

@@ -39,10 +39,9 @@ struct GeneratorConfig {
   std::uint64_t cgi_distinct_urls = 5000;
   double cgi_zipf_s = 0.9;
   /// Optional 2-state MMPP burstiness: when on, arrivals alternate between
-  /// a calm and a flash-crowd phase with the same long-run rate lambda.
+  /// a calm and a flash-crowd phase with the same long-run rate lambda
+  /// (the flash phase runs at 3x the calm rate, 20% of the time).
   bool bursty = false;
-  double burst_rate_multiplier = 3.0;  ///< flash-phase rate multiplier
-  double burst_fraction = 0.2;         ///< long-run fraction of time in flash
   /// Optional diurnal arrival-rate modulation (the autoscaling drill's
   /// day/night cycle): lambda(t) = lambda * (1 + A sin(2 pi t / T)),
   /// implemented by thinning against the lambda*(1+A) envelope so the

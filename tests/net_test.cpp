@@ -72,24 +72,6 @@ TEST(Network, ConstantLatencyWithoutJitterDrawsNothing) {
   EXPECT_EQ(first, from_seconds(0.002));
 }
 
-TEST(Network, LinkSpreadIsDeterministicPerLink) {
-  sim::Engine engine;
-  net::NetworkParams params;
-  params.enabled = true;
-  params.link_spread = 0.4;
-  net::Network a(engine, params, 8, 7);
-  net::Network b(engine, params, 8, 99);  // seed-independent (hash, not RNG)
-  bool any_differs = false;
-  for (int dst = 1; dst < 8; ++dst) {
-    const Time la = a.sample_latency(net::MsgKind::kData, 0, dst);
-    EXPECT_EQ(la, b.sample_latency(net::MsgKind::kData, 0, dst));
-    if (la != a.sample_latency(net::MsgKind::kData, 0, 1)) any_differs = true;
-    EXPECT_GE(to_seconds(la), params.latency_base_s * (1.0 - 0.4));
-    EXPECT_LE(to_seconds(la), params.latency_base_s * (1.0 + 0.4));
-  }
-  EXPECT_TRUE(any_differs);
-}
-
 TEST(Network, LossSequenceIsSeedDeterministic) {
   const auto outcomes = [](std::uint64_t seed) {
     sim::Engine engine;
