@@ -72,12 +72,6 @@ harness::ResultRow ctrl_row(const harness::GridPoint& point) {
   return row;
 }
 
-/// completed + timeouts + shed + abandoned == submitted: draining a node
-/// must migrate its queue, never lose it (shared registry definition).
-bool ledger_closed(const harness::ResultRow& row) {
-  return check::InvariantRegistry::row_ledger_closed(row);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -116,7 +110,9 @@ int main(int argc, char** argv) {
                  "w_hat_end", "theta_end", "ledger"});
     double oracle_tail = 0.0, frozen_tail = 0.0, online_tail = 0.0;
     for (const harness::ResultRow& row : flip_run->rows) {
-      const bool ok = ledger_closed(row);
+      // completed + timeouts + shed + abandoned == submitted: draining a node
+      // must migrate its queue, never lose it.
+      const bool ok = check::InvariantRegistry::row_ledger_closed(row);
       if (!ok) ++failures;
       const double tail = row.number("stretch_tail");
       if (row.text("controller") == "oracle") oracle_tail = tail;
@@ -205,7 +201,7 @@ int main(int argc, char** argv) {
     Table table({"autoscale", "stretch", "p95_s", "energy_node_s", "min_p",
                  "ups", "downs", "migrated", "ledger"});
     for (const harness::ResultRow& row : pareto_run->rows) {
-      const bool ok = ledger_closed(row);
+      const bool ok = check::InvariantRegistry::row_ledger_closed(row);
       if (!ok) ++failures;
       table.row()
           .cell(row.text("autoscale"))

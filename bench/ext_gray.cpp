@@ -81,13 +81,6 @@ harness::ResultRow gray_row(const harness::GridPoint& point) {
   return row;
 }
 
-/// completed + timeouts + shed + abandoned == submitted: a hedge loser is
-/// cancelled, never counted, and no request may vanish however slow the
-/// node it landed on (shared registry definition).
-bool ledger_closed(const harness::ResultRow& row) {
-  return check::InvariantRegistry::row_ledger_closed(row);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -141,7 +134,10 @@ int main(int argc, char** argv) {
     const harness::ResultRow* baseline = nullptr;
     const harness::ResultRow* hedged = nullptr;
     for (const harness::ResultRow& row : defense_run->rows) {
-      const bool ok = ledger_closed(row);
+      // completed + timeouts + shed + abandoned == submitted: a hedge loser is
+      // cancelled, never counted, and no request may vanish however slow the
+      // node it landed on.
+      const bool ok = check::InvariantRegistry::row_ledger_closed(row);
       if (!ok) ++failures;
       const std::string scen = row.text("scenario");
       if (scen == "no-fault") no_fault = &row;
@@ -233,7 +229,7 @@ int main(int argc, char** argv) {
     Table table({"mttf", "defense", "stretch", "p95 stretch", "episodes",
                  "degraded", "hedges", "wins", "ledger"});
     for (const harness::ResultRow& row : churn_run->rows) {
-      const bool ok = ledger_closed(row);
+      const bool ok = check::InvariantRegistry::row_ledger_closed(row);
       if (!ok) ++failures;
       const std::string mttf = row.text("mttf");
       table.row()

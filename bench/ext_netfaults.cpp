@@ -62,12 +62,6 @@ harness::ResultRow net_row(const harness::GridPoint& point) {
   return row;
 }
 
-/// completed + timeouts + shed + abandoned == submitted: no request may
-/// vanish, however hostile the wire (shared registry definition).
-bool ledger_closed(const harness::ResultRow& row) {
-  return check::InvariantRegistry::row_ledger_closed(row);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -99,7 +93,9 @@ int main(int argc, char** argv) {
     Table table({"loss", "stretch", "goodput", "sent", "lost", "rpc retry",
                  "redisp", "timeout", "ledger"});
     for (const harness::ResultRow& row : flaky_run->rows) {
-      const bool ok = ledger_closed(row);
+      // completed + timeouts + shed + abandoned == submitted: no request may
+      // vanish, however hostile the wire.
+      const bool ok = check::InvariantRegistry::row_ledger_closed(row);
       if (!ok) ++failures;
       table.row()
           .cell(row.text("loss"))
@@ -145,7 +141,7 @@ int main(int argc, char** argv) {
     Table table({"quorum", "stretch", "promote", "stepdown", "split-brain",
                  "partitions", "timeout", "ledger"});
     for (const harness::ResultRow& row : part_run->rows) {
-      const bool closed = ledger_closed(row);
+      const bool closed = check::InvariantRegistry::row_ledger_closed(row);
       const bool safe =
           row.text("quorum") != "on" ||
           check::InvariantRegistry::row_split_brain_rounds(row) == 0;
@@ -202,7 +198,7 @@ int main(int argc, char** argv) {
     Table table({"report_s", "fallback", "stretch", "goodput", "po2 picks",
                  "reports", "ledger"});
     for (const harness::ResultRow& row : stale_run->rows) {
-      const bool ok = ledger_closed(row);
+      const bool ok = check::InvariantRegistry::row_ledger_closed(row);
       if (!ok) ++failures;
       table.row()
           .cell(row.text("report_s"))
