@@ -369,7 +369,7 @@ std::string validate(const ChaosSchedule& s) {
   if (s.shed_policy != "none" && s.shed_policy != "queue" &&
       s.shed_policy != "util" && s.shed_policy != "stretch")
     return "unknown shed policy";
-  if (s.autoscale && s.min_powered < 1) return "min_powered must be >= 1";
+  if (s.ctrl && s.min_powered < 1) return "min_powered must be >= 1";
   return "";
 }
 
