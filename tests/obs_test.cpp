@@ -858,6 +858,67 @@ TEST(ObsSpans, ClosureAndAttemptsUnderFaults) {
   EXPECT_GT(backoff_total, 0);
 }
 
+TEST(ObsSpans, TreelessLedgerMatchesTheTreeKeepingOne) {
+  // A recorder that keeps no span trees (what run_experiment attaches when
+  // no exemplar file is asked for) must keep the very same ledger: an
+  // overload + crash + lossy-net run touches every phase, outcome and note.
+  const auto run = [](obs::SpanRecorder& spans) {
+    core::ExperimentSpec spec = obs_spec(11);
+    spec.lambda = 900;
+    spec.overload.deadline.static_s = 0.5;
+    spec.overload.deadline.dynamic_s = 1.0;
+    spec.overload.admission.policy = overload::AdmissionPolicy::kQueueDepth;
+    spec.overload.admission.max_queue = 4.0;
+    spec.overload.max_retries = 1;
+    spec.fault.enabled = true;
+    spec.fault.script.push_back(
+        {from_seconds(1.2), 2, fault::FaultKind::kCrash, 1.0, 1.0});
+    spec.fault.script.push_back(
+        {from_seconds(2.5), 2, fault::FaultKind::kRecover, 1.0, 1.0});
+    spec.net.enabled = true;
+    spec.net.loss = 0.05;
+    spec.observer.spans = &spans;
+    return core::run_experiment(spec);
+  };
+  obs::SpanRecorder trees;
+  obs::SpanRecorder treeless(/*keep_trees=*/false);
+  const auto with_trees = run(trees);
+  const auto without = run(treeless);
+  ASSERT_GT(with_trees.run.redispatches, 0u);
+  ASSERT_GT(with_trees.run.shed + with_trees.run.abandoned, 0u);
+  ASSERT_GT(with_trees.run.net_rpc_retries, 0u);
+  EXPECT_EQ(without.run.submitted, with_trees.run.submitted);
+
+  const obs::SpanSummary a = trees.summarize();
+  const obs::SpanSummary b = treeless.summarize();
+  EXPECT_EQ(b.closure_violations, 0u);
+  EXPECT_EQ(b.closure_violations, a.closure_violations);
+  for (int cls = 0; cls < 2; ++cls) {
+    EXPECT_EQ(b.cls[cls].count, a.cls[cls].count);
+    EXPECT_EQ(b.cls[cls].sojourn_s, a.cls[cls].sojourn_s);
+    for (std::size_t ph = 0; ph < obs::kSpanPhaseCount; ++ph)
+      EXPECT_EQ(b.cls[cls].phase_s[ph], a.cls[cls].phase_s[ph]);
+  }
+  ASSERT_EQ(treeless.request_capacity(), trees.request_capacity());
+  for (std::uint64_t job = 0; job < trees.request_capacity(); ++job) {
+    EXPECT_EQ(treeless.outcome(job), trees.outcome(job)) << job;
+    EXPECT_EQ(treeless.attempts(job), trees.attempts(job)) << job;
+    EXPECT_EQ(treeless.sojourn(job), trees.sojourn(job)) << job;
+    for (std::size_t ph = 0; ph < obs::kSpanPhaseCount; ++ph)
+      EXPECT_EQ(treeless.phase_total(job, static_cast<obs::SpanPhase>(ph)),
+                trees.phase_total(job, static_cast<obs::SpanPhase>(ph)))
+          << job;
+  }
+  // No tree, no dump: asking for exemplars is a usage error, never an
+  // empty file.
+  EXPECT_FALSE(trees.exemplars_str(2).empty());
+  EXPECT_THROW(treeless.exemplars_str(2), std::logic_error);
+  const std::string path = testing::TempDir() + "treeless_exemplars.json";
+  std::remove(path.c_str());
+  EXPECT_THROW(treeless.write_exemplars_file(path, 2), std::logic_error);
+  EXPECT_FALSE(std::ifstream(path).good());
+}
+
 TEST(ObsSpans, SharedColumnsUnchangedAndSpanColumnsAppended) {
   harness::GridPoint point;
   point.spec = obs_spec();
