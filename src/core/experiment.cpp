@@ -207,7 +207,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   }
   std::unique_ptr<obs::SpanRecorder> span_recorder;
   if (spec.obs.spans_on() && obs.spans == nullptr) {
-    span_recorder = std::make_unique<obs::SpanRecorder>();
+    // Only the exemplar file reads span trees; the span_* columns need
+    // the ledger alone.
+    span_recorder = std::make_unique<obs::SpanRecorder>(
+        /*keep_trees=*/!spec.obs.span_path.empty());
     obs.spans = span_recorder.get();
   }
   config.obs = obs;

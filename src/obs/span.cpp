@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/artifact_writer.hpp"
 
@@ -60,6 +61,7 @@ void SpanRecorder::set_phase(Req& r, SpanPhase phase, Time t) {
 
 std::uint32_t SpanRecorder::open_span(Req& r, const char* name, Time t,
                                       int pid, std::uint32_t parent) {
+  if (!keep_trees_) return kNoSpan;
   const std::uint32_t idx = static_cast<std::uint32_t>(pool_.size());
   SpanNode node;
   node.name = name;
@@ -76,6 +78,12 @@ std::uint32_t SpanRecorder::open_span(Req& r, const char* name, Time t,
   }
   r.tail = idx;
   return idx;
+}
+
+std::uint32_t SpanRecorder::open_child(Req& r, const char* name, Time t,
+                                       std::uint32_t parent) {
+  if (!keep_trees_) return kNoSpan;
+  return open_span(r, name, t, pool_[parent].pid, parent);
 }
 
 void SpanRecorder::close_span(std::uint32_t span, Time t) {
@@ -116,7 +124,7 @@ void SpanRecorder::begin_net(std::uint64_t job, Time t) {
   if (r == nullptr) return;
   close_open_legs(*r, t);
   set_phase(*r, SpanPhase::kNet, t);
-  r->leg = open_span(*r, "rpc", t, pool_[r->root].pid, r->root);
+  r->leg = open_child(*r, "rpc", t, r->root);
 }
 
 void SpanRecorder::begin_hop(std::uint64_t job, Time t) {
@@ -124,7 +132,7 @@ void SpanRecorder::begin_hop(std::uint64_t job, Time t) {
   if (r == nullptr) return;
   close_open_legs(*r, t);
   set_phase(*r, SpanPhase::kHop, t);
-  r->leg = open_span(*r, "hop", t, pool_[r->root].pid, r->root);
+  r->leg = open_child(*r, "hop", t, r->root);
 }
 
 void SpanRecorder::begin_backoff(std::uint64_t job, Time t, bool admission) {
@@ -132,7 +140,7 @@ void SpanRecorder::begin_backoff(std::uint64_t job, Time t, bool admission) {
   if (r == nullptr) return;
   close_open_legs(*r, t);
   set_phase(*r, admission ? SpanPhase::kAdmission : SpanPhase::kBackoff, t);
-  r->leg = open_span(*r, "backoff", t, pool_[r->root].pid, r->root);
+  r->leg = open_child(*r, "backoff", t, r->root);
 }
 
 void SpanRecorder::begin_visit(std::uint64_t job, Time t, int pid) {
@@ -146,15 +154,15 @@ void SpanRecorder::begin_visit(std::uint64_t job, Time t, int pid) {
 
 void SpanRecorder::cpu_run(std::uint64_t job, Time t) {
   Req* r = live(job);
-  if (r == nullptr || r->visit == kNoSpan) return;
+  if (r == nullptr || !in_visit(*r)) return;
   close_span(r->slice, t);
   set_phase(*r, SpanPhase::kCpu, t);
-  r->slice = open_span(*r, "cpu", t, pool_[r->visit].pid, r->visit);
+  r->slice = open_child(*r, "cpu", t, r->visit);
 }
 
 void SpanRecorder::cpu_wait(std::uint64_t job, Time t) {
   Req* r = live(job);
-  if (r == nullptr || r->visit == kNoSpan) return;
+  if (r == nullptr || !in_visit(*r)) return;
   close_span(r->slice, t);
   r->slice = kNoSpan;
   set_phase(*r, SpanPhase::kCpuWait, t);
@@ -162,15 +170,15 @@ void SpanRecorder::cpu_wait(std::uint64_t job, Time t) {
 
 void SpanRecorder::disk_run(std::uint64_t job, Time t) {
   Req* r = live(job);
-  if (r == nullptr || r->visit == kNoSpan) return;
+  if (r == nullptr || !in_visit(*r)) return;
   close_span(r->slice, t);
   set_phase(*r, SpanPhase::kDisk, t);
-  r->slice = open_span(*r, "disk", t, pool_[r->visit].pid, r->visit);
+  r->slice = open_child(*r, "disk", t, r->visit);
 }
 
 void SpanRecorder::disk_wait(std::uint64_t job, Time t) {
   Req* r = live(job);
-  if (r == nullptr || r->visit == kNoSpan) return;
+  if (r == nullptr || !in_visit(*r)) return;
   close_span(r->slice, t);
   r->slice = kNoSpan;
   set_phase(*r, SpanPhase::kDiskWait, t);
@@ -178,13 +186,13 @@ void SpanRecorder::disk_wait(std::uint64_t job, Time t) {
 
 void SpanRecorder::note(std::uint64_t job, const char* name, Time t,
                         std::int64_t value) {
+  if (!keep_trees_) return;
   Req* r = live(job);
   if (r == nullptr) return;
   std::uint32_t parent = r->leg != kNoSpan    ? r->leg
                          : r->visit != kNoSpan ? r->visit
                                                : r->root;
-  const std::uint32_t idx =
-      open_span(*r, name, t, pool_[parent].pid, parent);
+  const std::uint32_t idx = open_child(*r, name, t, parent);
   pool_[idx].end = t;
   pool_[idx].value = value;
 }
@@ -231,7 +239,14 @@ struct Candidate {
 
 }  // namespace
 
+void SpanRecorder::require_trees() const {
+  if (!keep_trees_)
+    throw std::logic_error(
+        "span exemplars need a recorder that keeps span trees");
+}
+
 void SpanRecorder::write_exemplars(std::ostream& stream, int k) const {
+  require_trees();
   const int want = std::max(k, 0);
   // Rank terminated requests per class by stretch = sojourn / demand
   // (the unloaded demand recorded at arrival, refreshed at completion;
@@ -334,6 +349,7 @@ std::string SpanRecorder::exemplars_str(int k) const {
 
 void SpanRecorder::write_exemplars_file(const std::string& path,
                                         int k) const {
+  require_trees();  // before the file is opened: never an empty dump
   write_artifact_file(path, "span output",
                       [&](std::ostream& out) { write_exemplars(out, k); });
 }
