@@ -1,6 +1,5 @@
 #include "net/network.hpp"
 
-
 #include <algorithm>
 #include <stdexcept>
 #include <string>
@@ -159,8 +158,7 @@ void Network::set_node_degradation(int node, double extra_loss,
                            {"latency_factor", latency_factor}});
 }
 
-bool Network::send(int src, int dst, MsgKind kind,
-                   std::function<void()> deliver) {
+bool Network::send(int src, int dst, MsgKind kind, Delivery deliver) {
   ++sent_;
   if (!reachable(src, dst)) {
     ++partition_drops_;
@@ -184,11 +182,20 @@ bool Network::send(int src, int dst, MsgKind kind,
     return false;
   }
   const Time latency = sample_latency(kind, src, dst);
-  engine_.schedule_after(latency, [this, deliver = std::move(deliver)] {
-    ++delivered_;
-    deliver();
-  });
+  InFlight* message = in_flight_.acquire();
+  message->network = this;
+  message->deliver = deliver;
+  engine_.schedule_call_after(latency, &Network::land, message);
   return true;
+}
+
+void Network::land(void* ctx) {
+  InFlight& message = *static_cast<InFlight*>(ctx);
+  Network& network = *message.network;
+  const Delivery deliver = message.deliver;
+  network.in_flight_.release(&message);
+  ++network.delivered_;
+  deliver();
 }
 
 void Network::apply_partition(const std::vector<int>& group_of) {

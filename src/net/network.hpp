@@ -19,12 +19,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -95,6 +95,17 @@ enum class MsgKind : std::uint8_t {
   kControl,  ///< load reports, acks (a constant 0.5 ms)
 };
 
+/// What runs when a message lands (or an RPC call ends): `fn(ctx, token)`.
+/// A POD, so a message carries it with no heap-allocated closure; `token`
+/// names the sender's record (an RPC call id, a pooled slot).
+struct Delivery {
+  void (*fn)(void* ctx, std::uint64_t token) = nullptr;
+  void* ctx = nullptr;
+  std::uint64_t token = 0;
+
+  void operator()() const { fn(ctx, token); }
+};
+
 /// Observability hooks (all optional; a null pointer costs one branch).
 struct NetworkHooks {
   obs::TraceSink* trace = nullptr;
@@ -113,8 +124,9 @@ class Network {
 
   /// Sends one message from `src` to `dst`; `deliver` runs after the
   /// sampled latency, or never (loss, partition). Returns false when the
-  /// message was dropped at send time.
-  bool send(int src, int dst, MsgKind kind, std::function<void()> deliver);
+  /// message was dropped at send time; otherwise `deliver` is sure to run
+  /// (as one pooled engine call) unless the run ends first.
+  bool send(int src, int dst, MsgKind kind, Delivery deliver);
 
   /// Sampled one-way latency for one message (consumes jitter draws).
   Time sample_latency(MsgKind kind, int src, int dst);
@@ -151,6 +163,13 @@ class Network {
   std::uint64_t partitions_seen() const { return partitions_seen_; }
 
  private:
+  /// A message on the wire: one pooled record per scheduled delivery.
+  struct InFlight {
+    Network* network = nullptr;
+    Delivery deliver;
+  };
+  static void land(void* ctx);
+
   void apply_partition(const std::vector<int>& group_of);
   void heal_partition();
   double node_extra_loss(int node) const {
@@ -178,6 +197,7 @@ class Network {
   std::vector<double> extra_loss_;
   std::vector<double> latency_factor_;
   int degraded_count_ = 0;
+  Pool<InFlight> in_flight_;
   std::uint64_t sent_ = 0;
   std::uint64_t lost_ = 0;
   std::uint64_t partition_drops_ = 0;
