@@ -20,6 +20,7 @@
 
 #include "core/cluster.hpp"
 #include "core/layer.hpp"
+#include "util/pool.hpp"
 
 namespace wsched::core {
 
@@ -153,8 +154,7 @@ class ClusterRun {
   net::Network* network_ = nullptr;
   bool reservation_self_tuned_ = true;
 
-  std::deque<Hop> hop_pool_;
-  std::vector<Hop*> hop_free_;
+  Pool<Hop> hops_;
   std::deque<Ticker> tickers_;
   std::vector<obs::NodeProbe> node_probes_;  ///< reused across probe ticks
 
