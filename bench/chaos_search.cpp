@@ -82,9 +82,16 @@ int replay_files(const std::vector<std::string>& files) {
       status = 2;
       continue;
     }
+    const check::ChaosOutcome outcome = check::run_schedule(schedule);
+    // A knob the simulator rejects makes the file invalid, not a finding.
+    if (outcome.invalid) {
+      std::fprintf(stderr, "%s: invalid schedule: %s\n", path.c_str(),
+                   outcome.error.c_str());
+      status = 2;
+      continue;
+    }
     std::printf("%s (seed %llu):\n", path.c_str(),
                 static_cast<unsigned long long>(schedule.seed));
-    const check::ChaosOutcome outcome = check::run_schedule(schedule);
     print_report(outcome);
     if (!outcome.ok() && status == 0) status = 1;
   }

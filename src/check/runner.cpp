@@ -1,6 +1,7 @@
 #include "check/runner.hpp"
 
 #include <exception>
+#include <stdexcept>
 
 #include "harness/sweep.hpp"
 #include "sim/engine.hpp"
@@ -19,14 +20,9 @@ std::uint64_t fnv1a(const std::string& bytes) {
 ChaosOutcome run_schedule(const ChaosSchedule& schedule) {
   ChaosOutcome outcome;
   core::ExperimentSpec spec;
-  try {
-    spec = to_spec(schedule);
-  } catch (const std::exception& e) {
-    outcome.error = e.what();
-    return outcome;
-  }
   core::ExperimentResult result;
   try {
+    spec = to_spec(schedule);
     result = core::run_experiment(spec);
   } catch (const sim::EngineGuardError& e) {
     outcome.engine_guard = true;
@@ -36,6 +32,7 @@ ChaosOutcome run_schedule(const ChaosSchedule& schedule) {
     return outcome;
   } catch (const std::exception& e) {
     outcome.error = e.what();
+    outcome.invalid = dynamic_cast<const std::invalid_argument*>(&e) != nullptr;
     return outcome;
   }
 

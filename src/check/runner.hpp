@@ -28,6 +28,7 @@ struct ChaosOutcome {
   std::uint64_t artifact_hash = 0;
   bool engine_guard = false;  ///< run aborted on the runaway guard
   std::string error;          ///< non-guard failure (exception text)
+  bool invalid = false;  ///< `error` is bad input (std::invalid_argument)
 
   bool ok() const { return error.empty() && report.ok(); }
   /// True when the outcome carries at least one invariant violation (the
