@@ -76,10 +76,10 @@ struct FaultConfig {
 
   /// Fail-slow churn: per-node exponential time-to-degrade / time-to-heal
   /// in seconds; degrade_mttf_s == 0 disables it. While an episode is
-  /// open the node limps at the factors below (gray failure: it still
-  /// answers heartbeats). Each node draws from its own dedicated degrade
-  /// stream — independent of its crash stream — so enabling fail-slow
-  /// never perturbs crash times and vice versa.
+  /// open the node limps at the speed factors below, each in (0, 1] (gray
+  /// failure: it still answers heartbeats). Each node draws from its own
+  /// dedicated degrade stream — independent of its crash stream — so
+  /// enabling fail-slow never perturbs crash times and vice versa.
   double degrade_mttf_s = 0.0;
   double degrade_mttr_s = 2.0;
   double degrade_cpu_factor = 0.25;

@@ -110,8 +110,8 @@ std::vector<Flag> shared_flags(BenchCli& c) {
   add_group(table, g.enabled, {
       flag("gray-mttf", g.degrade_mttf_s, "mean time to a fail-slow episode"),
       flag("gray-mttr", g.degrade_mttr_s, "mean episode length"),
-      flag("gray-cpu", g.degrade_cpu_factor, "limping CPU speed factor"),
-      flag("gray-disk", g.degrade_disk_factor, "limping disk speed factor"),
+      flag("gray-cpu", g.degrade_cpu_factor, "limping CPU speed factor, in (0, 1]"),
+      flag("gray-disk", g.degrade_disk_factor, "limping disk speed factor, in (0, 1]"),
       flag("gray-stall-period", g.stall_period_s, "mean gap between stalls"),
       flag("gray-stall-len", g.stall_len_s, "stall burst length"),
       flag("gray-stall-factor", g.stall_factor, "speed factor in a stall"),
