@@ -271,10 +271,7 @@ harness::ResultRow InvariantRegistry::ledger_row(
   harness::append_metrics(row, result);
   const model::Workload w = core::analytic_workload(point.spec);
   row.set("offered_load", w.offered_load() / point.spec.p);
-  row.set("submitted",
-          static_cast<unsigned long long>(result.run.submitted));
-  row.set("completed_total",
-          static_cast<unsigned long long>(result.run.completed));
+  harness::append_metric_block(row, result.run, core::MetricBlock::kLedger);
   if (result.spans.enabled) harness::append_span_metrics(row, result);
   return row;
 }

@@ -89,7 +89,7 @@ class CacheLayer final : public Layer {
           job.request.url_id, at);
   }
 
-  void publish(RunResult& result, obs::CounterRegistry*) const override {
+  void publish(RunResult& result) const override {
     for (const CgiCache& cache : caches_) {
       result.cache_hits += cache.hits();
       result.cache_lookups += cache.lookups();

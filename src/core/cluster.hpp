@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <variant>
 #include <vector>
 
 #include "core/load.hpp"
@@ -196,6 +198,27 @@ struct RunResult {
   double energy_node_s = 0.0;
   int powered_min = 0;  ///< smallest powered count reached
 };
+
+/// A metric's artifact-row block (harness::append_metric_block).
+enum class MetricBlock { kBase, kLedger, kNet, kCtrl, kGray };
+/// When a metric's counter is published: always, or with that layer on.
+enum class MetricGate { kAlways, kIfNet, kIfCtrl, kIfHedge, kIfSlowHealth };
+
+/// One run-end metric: its field and the names it is published under.
+struct RunMetric {
+  std::variant<std::uint64_t RunResult::*, double RunResult::*,
+               int RunResult::*, std::uint64_t MetricsSummary::*,
+               double MetricsSummary::*>
+      field;
+  const char* column = nullptr;   ///< artifact-row column (null: none)
+  const char* counter = nullptr;  ///< obs counter name (null: none)
+  MetricBlock block = MetricBlock::kBase;
+  MetricGate gate = MetricGate::kAlways;  ///< when `counter` is published
+};
+
+/// Every run-end metric with a RunResult field, each named once; a block's
+/// columns are in artifact order, a counter reads a std::uint64_t field.
+std::span<const RunMetric> run_metrics();
 
 class ClusterSim {
  public:

@@ -20,7 +20,6 @@
 #include "util/time.hpp"
 
 namespace wsched::obs {
-class CounterRegistry;
 struct ClusterProbe;
 }  // namespace wsched::obs
 
@@ -104,10 +103,9 @@ class Layer {
 
   /// Fills the layer's fields of a probe sample.
   virtual void probe(obs::ClusterProbe& /*sample*/) const {}
-  /// Run end: writes the layer's RunResult fields and adds its counts into
-  /// `counters` (may be null).
-  virtual void publish(RunResult& /*result*/,
-                       obs::CounterRegistry* /*counters*/) const {}
+  /// Run end: writes the layer's RunResult fields. The run publishes the
+  /// counters from them (core::run_metrics, DESIGN.md section 18).
+  virtual void publish(RunResult& /*result*/) const {}
 };
 
 }  // namespace wsched::core

@@ -257,8 +257,7 @@ void ControlLoop::probe(obs::ClusterProbe& sample) const {
   sample.ctrl_m = static_cast<double>(run_->view().m);
 }
 
-void ControlLoop::publish(core::RunResult& result,
-                          obs::CounterRegistry* counters) const {
+void ControlLoop::publish(core::RunResult& result) const {
   result.ctrl_enabled = true;
   result.ctrl_retunes = retunes_;
   result.ctrl_scale_ups = scale_ups_;
@@ -273,12 +272,6 @@ void ControlLoop::publish(core::RunResult& result,
         energy_node_s_ +
         static_cast<double>(powered_) *
             to_seconds(run_->engine().now() - energy_mark_);
-  if (counters == nullptr) return;
-  *counters->handle("ctrl.retunes") += retunes_;
-  *counters->handle("ctrl.scale_ups") += scale_ups_;
-  *counters->handle("ctrl.scale_downs") += scale_downs_;
-  *counters->handle("ctrl.migrations") += migrations_;
-  *counters->handle("ctrl.retargets") += retargets_;
 }
 
 }  // namespace wsched::ctrl

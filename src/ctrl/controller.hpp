@@ -101,8 +101,7 @@ class ControlLoop : public core::Layer {
   /// Drained and powered-down-on-landing jobs migrate; nothing is lost.
   bool on_stranded(sim::Job& job, int node, core::Strand why) override;
   void probe(obs::ClusterProbe& sample) const override;
-  void publish(core::RunResult& result,
-               obs::CounterRegistry* counters) const override;
+  void publish(core::RunResult& result) const override;
 
  private:
   void scale_up(Time now);

@@ -151,8 +151,7 @@ class FailoverLayer final : public core::Layer {
           static_cast<double>(net_health_->split_brain_rounds());
   }
 
-  void publish(core::RunResult& result,
-                              obs::CounterRegistry*) const override {
+  void publish(core::RunResult& result) const override {
     const Time end = run_.engine().now();
     result.availability = injector_.availability(end);
     result.node_crashes = injector_.crashes();

@@ -191,13 +191,9 @@ void SlowHealthMonitor::on_completed(const sim::Job& job, int node, Time at) {
   on_completion(node, at - job.cluster_arrival, job.request.service_demand);
 }
 
-void SlowHealthMonitor::publish(core::RunResult& result,
-                                obs::CounterRegistry* counters) const {
+void SlowHealthMonitor::publish(core::RunResult& result) const {
   result.slow_degraded = degraded_;
   result.slow_recovered = recovered_;
-  if (counters == nullptr) return;
-  *counters->handle("slow_health.degraded") += degraded_;
-  *counters->handle("slow_health.recovered") += recovered_;
 }
 
 }  // namespace wsched::fault

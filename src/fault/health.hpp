@@ -139,8 +139,7 @@ class SlowHealthMonitor : public core::Layer {
   void start() override;
   void tick() override;
   void on_completed(const sim::Job& job, int node, Time at) override;
-  void publish(core::RunResult& result,
-               obs::CounterRegistry* counters) const override;
+  void publish(core::RunResult& result) const override;
 
   /// Runs one watchdog round over the given liveness view.
   void check_now(const std::vector<sim::Node*>& nodes);

@@ -118,18 +118,12 @@ class HedgeLayer final : public core::Layer {
 
   bool settled(std::uint64_t id) const override { return settled_.seen(id); }
 
-  void publish(core::RunResult& result,
-               obs::CounterRegistry* counters) const override {
+  void publish(core::RunResult& result) const override {
     result.hedging_enabled = true;
     result.hedges_launched = launched_;
     result.hedge_wins = wins_;
     result.hedge_cancellations = cancellations_;
     result.hedges_skipped = skipped_;
-    if (counters == nullptr) return;
-    *counters->handle("hedge.launched") += launched_;
-    *counters->handle("hedge.wins") += wins_;
-    *counters->handle("hedge.cancelled") += cancellations_;
-    *counters->handle("hedge.skipped") += skipped_;
   }
 
  private:

@@ -46,6 +46,10 @@ ResultRow& ResultRow::set(std::string name, unsigned long long value) {
   return set_field(std::move(name), std::to_string(value), true);
 }
 
+ResultRow& ResultRow::set(std::string name, unsigned long value) {
+  return set_field(std::move(name), std::to_string(value), true);
+}
+
 ResultRow& ResultRow::set(std::string name, int value) {
   return set_field(std::move(name), std::to_string(value), true);
 }

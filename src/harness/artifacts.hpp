@@ -34,6 +34,7 @@ class ResultRow {
   ResultRow& set(std::string name, double value);
   ResultRow& set(std::string name, long long value);
   ResultRow& set(std::string name, unsigned long long value);
+  ResultRow& set(std::string name, unsigned long value);  ///< LP64 uint64_t
   ResultRow& set(std::string name, int value);
   ResultRow& set_bool(std::string name, bool value);
 

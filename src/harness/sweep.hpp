@@ -144,30 +144,32 @@ SweepRun run_sweep(const SweepSpec& spec, const SweepOptions& options,
 /// state). Benches needing derived columns wrap it or roll their own.
 ResultRow experiment_row(const GridPoint& point);
 
-/// Appends the stable metrics schema of one experiment result to `row`.
+/// Writes the columns of one block of core::run_metrics(), in table order
+/// (the table is the one place a RunResult-backed column is named).
+/// check::InvariantRegistry::ledger_row writes the kLedger pair with it.
+void append_metric_block(ResultRow& row, const core::RunResult& run,
+                         core::MetricBlock block);
+
+/// Appends the scheduler and m, then the base block: stretch family,
+/// response times, cache/fault/overload counts, reservation end state.
 void append_metrics(ResultRow& row, const core::ExperimentResult& result);
 
+// Each appender below writes the kLedger pair, then its block; kept apart
+// so append_metrics' established schema (and its bytes) never changes.
+
 /// Appends the net-model statistics (sent/lost/duplicates/retries,
-/// stale fallbacks, partitions, step-downs, split-brain rounds) plus the
-/// submitted/completed pair the accounting-closure check needs. Kept
-/// separate from append_metrics so the established sweep schema (and its
-/// byte-identity contract) never changes; net-aware benches call both.
+/// stale fallbacks, partitions, step-downs, split-brain rounds).
 void append_net_metrics(ResultRow& row, const core::ExperimentResult& result);
 
 /// Appends the control-plane statistics (retunes, scale-ups/-downs,
 /// migrations, retargets, final w/r estimates, powered-node-seconds energy
-/// and the powered floor). Same byte-identity rationale as
-/// append_net_metrics: ctrl-aware benches call both this and
-/// append_metrics, the established schema never changes.
+/// and the powered floor).
 void append_ctrl_metrics(ResultRow& row,
                          const core::ExperimentResult& result);
 
 /// Appends the gray-failure statistics (fail-slow episodes and limping
 /// node-seconds, watchdog degrade/recover transitions, hedge launches /
-/// wins / cancellations / skips) plus the submitted/completed pair the
-/// ledger-closure check needs. Same byte-identity rationale as
-/// append_net_metrics: gray-aware benches call both this and
-/// append_metrics, the established schema never changes.
+/// wins / cancellations / skips).
 void append_gray_metrics(ResultRow& row,
                          const core::ExperimentResult& result);
 

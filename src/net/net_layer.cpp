@@ -122,8 +122,7 @@ class NetLayer final : public core::Layer {
     sample.net_partition_active = network_.partition_active() ? 1.0 : 0.0;
   }
 
-  void publish(core::RunResult& result,
-                         obs::CounterRegistry* counters) const override {
+  void publish(core::RunResult& result) const override {
     result.net_enabled = true;
     result.net_sent = network_.sent();
     result.net_lost = network_.lost() + network_.partition_drops();
@@ -133,23 +132,6 @@ class NetLayer final : public core::Layer {
     result.net_reports = reports_;
     result.net_stale_fallbacks = stale_fallbacks_;
     result.net_partitions = network_.partitions_seen();
-    if (counters == nullptr) return;
-    // The failover layer (published before this one) wrote the detector's
-    // step-down and split-brain counts.
-    const std::pair<const char*, std::uint64_t> counts[] = {
-        {"net.sent", result.net_sent},
-        {"net.lost", network_.lost()},
-        {"net.partition_drops", network_.partition_drops()},
-        {"net.partitions", result.net_partitions},
-        {"net.duplicates", result.net_duplicates},
-        {"net.rpc_retries", result.net_rpc_retries},
-        {"net.rpc_failures", result.net_rpc_failures},
-        {"net.reports", result.net_reports},
-        {"net.stale_fallbacks", result.net_stale_fallbacks},
-        {"net.stepdowns", result.net_stepdowns},
-        {"net.split_brain_rounds", result.net_split_brain_rounds},
-    };
-    for (const auto& [name, value] : counts) *counters->handle(name) += value;
   }
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/run.hpp"
-#include "obs/counters.hpp"
 #include "obs/log.hpp"
 
 namespace wsched::overload {
@@ -285,8 +284,7 @@ void OverloadController::sync_breaker_trips() {
   last_trips_ = trips;
 }
 
-void OverloadController::publish(core::RunResult& result,
-                                 obs::CounterRegistry*) const {
+void OverloadController::publish(core::RunResult& result) const {
   const Time end = engine_.now();
   result.shed = shed_;
   result.abandoned = abandoned_;

@@ -90,8 +90,7 @@ class OverloadController : public core::Layer {
   void on_terminal(std::uint64_t id, obs::SpanOutcome why) override;
   /// Retry landing (tag 0) or deadline (tag 1).
   void resume(sim::Job& job, int tag) override;
-  void publish(core::RunResult& result,
-               obs::CounterRegistry* counters) const override;
+  void publish(core::RunResult& result) const override;
 
  private:
   struct TrackedJob {
